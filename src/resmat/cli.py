@@ -42,12 +42,12 @@ from .multihomo import (
 )
 from .oracles import (
     DEFAULT_PRIME,
+    _quotient_checks,
     _require_prime,
     draw_coefficients,
-    ff_det,
     mixed_volume,
-    specialize,
-    verify_quotient,
+    sparse_det,
+    specialize_rows,
 )
 from .subdivision import is_mixed, lattice_points, type_function_of
 from .systems import (
@@ -66,6 +66,10 @@ GUARDRAIL = 10**7
 # below disagree with that and the audit flags the divergence instead of
 # adopting them.
 _DEGREE_REFERENCE = {2: 6, 3: 24, 4: 360, 5: 3720}
+
+
+class BadArgument(ResmatError):
+    """A command-line option has a value outside its valid range."""
 
 
 def _tup(t: Sequence[int]) -> str:
@@ -269,6 +273,12 @@ def _degree_audit(sys_: ZonotopeSystem) -> dict:
 
 def cmd_verify(sys_, args) -> int:
     _require_prime(args.prime)
+    if args.trials < 1:
+        raise BadArgument(f"--trials must be at least 1, got {args.trials}")
+    if args.quotient_limit < 0:
+        raise BadArgument(
+            f"--quotient-limit must be nonnegative, got {args.quotient_limit}"
+        )
     multi = isinstance(sys_, MultiHomoSystem)
     b_size = sys_.lattice_size()
     closure = _closure(sys_)
@@ -342,10 +352,17 @@ def cmd_verify(sys_, args) -> int:
         for draw in range(10):
             rng = random.Random(f"{args.seed}:block:{draw}")
             coeffs = draw_coefficients(sys_, rng, args.prime)
-            dense = specialize(full, coeffs, args.prime)
-            whole = ff_det(dense, args.prime)
-            top = ff_det([row[:k] for row in dense[:k]], args.prime)
-            rest = ff_det([row[k:] for row in dense[k:]], args.prime)
+            rows = specialize_rows(full, coeffs, args.prime)
+            whole = sparse_det(rows, args.prime)
+            top = sparse_det(
+                [{c: v for c, v in row.items() if c < k} for row in rows[:k]],
+                args.prime,
+            )
+            rest = sparse_det(
+                [{c - k: v for c, v in row.items() if c >= k}
+                 for row in rows[k:]],
+                args.prime,
+            )
             if whole != top * rest % args.prime:
                 product_ok = False
                 detail = f"draw {draw}: {whole} != {top}*{rest} mod p"
@@ -365,8 +382,8 @@ def cmd_verify(sys_, args) -> int:
 
     quotient = None
     if gated:
-        quotient = verify_quotient(
-            sys_, p=args.prime, trials=args.trials, seed=args.seed
+        quotient = _quotient_checks(
+            sys_, full, closure, args.prime, args.trials, args.seed
         )
         print(quotient.text())
     else:
@@ -468,7 +485,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "matrix":
             return cmd_matrix(sys_, args)
         return cmd_verify(sys_, args)
-    except (SpecParse, SpecInvalid, NotPrime) as exc:
+    except (SpecParse, SpecInvalid, NotPrime, BadArgument) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

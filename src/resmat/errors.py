@@ -44,6 +44,10 @@ class UnsupportedFormat(ResmatError):
     """Unknown export format name."""
 
 
+class InvariantViolated(ResmatError):
+    """An internal invariant of the subdivision does not hold."""
+
+
 class NotPrime(ResmatError):
     """The requested modulus is not a (verified) prime."""
 

@@ -29,7 +29,7 @@ from functools import cached_property, lru_cache
 from itertools import product
 from typing import Iterator, Sequence
 
-from .errors import BadShape, PointOutOfRange
+from .errors import BadShape, InvariantViolated, PointOutOfRange
 from .greedy import greedy_type_functions, is_greedy
 from .subdivision import is_mixed, row_content_of, type_function_of
 from .systems import (
@@ -116,10 +116,11 @@ class Embedding:
             seg = v[start:stop]
             m = stop - start
             for k in range(m - 1):
-                assert seg[k] <= seg[k + 1], (
-                    "embedded vertex is not a staircase; the cell vertex "
-                    "does not come from a simplex vertex"
-                )
+                if seg[k] > seg[k + 1]:
+                    raise InvariantViolated(
+                        "embedded vertex is not a staircase; the cell "
+                        "vertex does not come from a simplex vertex"
+                    )
             # natural position p holds the difference of the last-(m+1-p)
             # and last-(m-p) sums
             prev = 0

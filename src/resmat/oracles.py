@@ -15,16 +15,17 @@ needs the block order fixed this way.
 
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import BadShape, NotPrime
 from .greedy import greedy_closure
 from .matrix import SymbolicMatrix, build_matrix, principal_submatrix
 from .multihomo import greedy_closure_multi, lattice_points_multi
 from .subdivision import lattice_points
-from .systems import CoeffRef, MultiHomoSystem, ZonotopeSystem
+from .systems import CoeffRef, MultiHomoSystem, Point, ZonotopeSystem
 
 DEFAULT_PRIME = 2147483647  # 2^31 - 1
 
@@ -148,6 +149,85 @@ def ff_det(matrix: Sequence[Sequence[int]], p: int) -> int:
     return det % p
 
 
+def sparse_det(rows: Sequence[dict[int, int]], p: int) -> int:
+    """Determinant in Z/p of a square matrix given by sparse rows.
+
+    rows[r] maps column index to value for the nonzero entries of row r;
+    the input is not modified.  Markowitz-style pivoting (Markowitz 1957):
+    each pivot is in the active column with the fewest nonzeros, in its
+    shortest row.  Ties go to the largest column and the smallest row
+    index; on the greedy-first matrices of build_matrix that fills in less
+    than taking the smallest column.
+    """
+    _require_prime(p)
+    n = len(rows)
+    active: list[dict[int, int]] = []
+    cols: list[set[int] | None] = [set() for _ in range(n)]  # None: pivoted
+    for r, row in enumerate(rows):
+        kept = {}
+        for c, v in row.items():
+            if not 0 <= c < n:
+                raise BadShape("determinant needs a square matrix")
+            v %= p
+            if v:
+                kept[c] = v
+                cols[c].add(r)
+        active.append(kept)
+
+    heap = [(len(rs), -c) for c, rs in enumerate(cols)]
+    heapq.heapify(heap)
+    pivot_col: dict[int, int] = {}
+    det = 1
+    while heap:
+        count, c = heapq.heappop(heap)
+        c = -c
+        col = cols[c]
+        if col is None or len(col) != count:
+            continue  # stale entry: pivoted, or its count changed
+        if not col:
+            return 0
+        r = min(col, key=lambda s: (len(active[s]), s))
+        prow = active[r]
+        v = prow.pop(c)
+        det = det * v % p
+        inv = pow(v, -1, p)
+        pivot_col[r] = c
+        cols[c] = None
+        col.discard(r)
+        for cc in prow:
+            cols[cc].discard(r)
+        entries = list(prow.items())
+        for s in col:
+            srow = active[s]
+            f = p - srow.pop(c) * inv % p
+            for cc, x in entries:
+                y = srow.get(cc)
+                if y is None:
+                    srow[cc] = f * x % p
+                    cols[cc].add(s)
+                else:
+                    y = (y + f * x) % p
+                    if y:
+                        srow[cc] = y
+                    else:
+                        del srow[cc]
+                        cols[cc].discard(s)
+        for cc in prow:
+            heapq.heappush(heap, (len(cols[cc]), -cc))
+
+    # the sign is the parity of the row -> pivot column permutation
+    seen: set[int] = set()
+    odd = False
+    for start in pivot_col:
+        x = start
+        while x not in seen:
+            seen.add(x)
+            x = pivot_col[x]
+            if x != start:
+                odd = not odd
+    return p - det if odd else det
+
+
 def sylvester_resultant(
     coeffs0: Sequence[int], coeffs1: Sequence[int], p: int
 ) -> int:
@@ -182,6 +262,18 @@ def specialize(
     for (r, c), ref in m.entries.items():
         dense[r][c] = coeffs[ref] % p
     return dense
+
+
+def specialize_rows(
+    m: SymbolicMatrix, coeffs: dict[CoeffRef, int], p: int
+) -> list[dict[int, int]]:
+    """Sparse numeric rows, {column: value} for the nonzero entries."""
+    rows: list[dict[int, int]] = [{} for _ in range(m.size)]
+    for (r, c), ref in m.entries.items():
+        v = coeffs[ref] % p
+        if v:
+            rows[r][c] = v
+    return rows
 
 
 def draw_coefficients(
@@ -307,23 +399,37 @@ def verify_quotient(
     (seed, trial, attempt), so failures are reproducible from the report.
     """
     _require_prime(p)
-    multi = isinstance(sys_, MultiHomoSystem)
-    if multi:
-        full_points = list(lattice_points_multi(sys_))
-        greedy_points = list(greedy_closure_multi(sys_))
+    if isinstance(sys_, MultiHomoSystem):
+        full_points = lattice_points_multi(sys_)
+        greedy_points = greedy_closure_multi(sys_)
     else:
-        full_points = list(lattice_points(sys_))
-        greedy_points = list(greedy_closure(sys_))
-
+        full_points = lattice_points(sys_)
+        greedy_points = greedy_closure(sys_)
     h_full = build_matrix(full_points, sys_)
+    return _quotient_checks(sys_, h_full, greedy_points, p, trials, seed)
+
+
+def _quotient_checks(
+    sys_: ZonotopeSystem | MultiHomoSystem,
+    h_full: SymbolicMatrix,
+    greedy_points: Iterable[Point],
+    p: int,
+    trials: int,
+    seed: int,
+) -> QuotientReport:
+    """verify_quotient on an already built full matrix and greedy point set."""
+    multi = isinstance(sys_, MultiHomoSystem)
     e_full = principal_submatrix(h_full)
     h_greedy = build_matrix(greedy_points, sys_)
     e_greedy = principal_submatrix(h_greedy)
     if multi:
         h_refl = e_refl = None
     else:
-        h_refl = build_matrix(full_points, sys_, reflected=True)
+        h_refl = build_matrix(h_full.points, sys_, reflected=True)
         e_refl = principal_submatrix(h_refl)
+
+    def det(m: SymbolicMatrix, coeffs: dict[CoeffRef, int]) -> int:
+        return sparse_det(specialize_rows(m, coeffs, p), p)
 
     report = QuotientReport(
         kind="multihomogeneous" if multi else "zonotope",
@@ -348,7 +454,7 @@ def verify_quotient(
         for attempt in range(3):
             rng = random.Random(f"{seed}:{trial}:{attempt}")
             candidate = draw_coefficients(sys_, rng, p)
-            det_eg = ff_det(specialize(e_greedy, candidate, p), p)
+            det_eg = det(e_greedy, candidate)
             if det_eg != 0:
                 coeffs = candidate
                 break
@@ -362,11 +468,11 @@ def verify_quotient(
             continue
         report._record("a", True, trial, "")
 
-        det_hg = ff_det(specialize(h_greedy, coeffs, p), p)
+        det_hg = det(h_greedy, coeffs)
         report._record("b", det_hg != 0, trial, "det H_G = 0")
 
-        det_h = ff_det(specialize(h_full, coeffs, p), p)
-        det_e = ff_det(specialize(e_full, coeffs, p), p)
+        det_h = det(h_full, coeffs)
+        det_e = det(e_full, coeffs)
 
         if sys_.n == 1:
             c0 = [coeffs[CoeffRef(0, a)] for a in sys_.support(0)]
@@ -386,8 +492,8 @@ def verify_quotient(
         )
 
         if not multi:
-            det_hr = ff_det(specialize(h_refl, coeffs, p), p)
-            det_er = ff_det(specialize(e_refl, coeffs, p), p)
+            det_hr = det(h_refl, coeffs)
+            det_er = det(e_refl, coeffs)
             lhs = det_hr * det_e % p
             rhs = det_h * det_er % p
             if lhs == rhs and lhs == (p - rhs) % p:

@@ -21,7 +21,7 @@ from bisect import bisect_right
 from itertools import product
 from typing import Iterator, Sequence
 
-from .errors import BadShape, PointOutOfRange
+from .errors import BadShape, InvariantViolated, PointOutOfRange
 from .systems import (
     Point,
     RowContent,
@@ -94,7 +94,10 @@ def row_content_of(
     i = max(k for k, cnt in enumerate(t) if cnt == 0)
     vertex = []
     for j, c in enumerate(pt):
-        assert phi[j] != i, "type count of the content index must be zero"
+        if phi[j] == i:
+            raise InvariantViolated(
+                "type count of the content index must be zero"
+            )
         if c < prefixes[j][i]:
             vertex.append(0)
         else:

@@ -186,6 +186,23 @@ class TestVerifyCommand:
     def test_not_prime_exit_2(self, capsys):
         assert cli.main(["verify", UNIT2_SPEC, "--prime", "10"]) == 2
 
+    def test_trials_below_one_exit_2(self, capsys):
+        assert cli.main(["verify", UNIT2_SPEC, "--trials", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --trials must be at least 1, got 0\n"
+
+    def test_negative_trials_and_quotient_limit_exit_2(self, capsys):
+        argv = ["verify", UNIT2_SPEC, "--trials", "-3", "--quotient-limit", "-5"]
+        assert cli.main(argv) == 2
+        assert cli.main(["verify", UNIT2_SPEC, "--quotient-limit", "-5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: --trials must be at least 1, got -3",
+            "error: --quotient-limit must be nonnegative, got -5",
+        ]
+
     def test_missing_file_exit_4(self, capsys, tmp_path):
         assert cli.main(["sizes", str(tmp_path / "absent.json")]) == 4
 

@@ -4,6 +4,7 @@ from itertools import product
 import pytest
 
 from resmat import (
+    InvariantViolated,
     PointOutOfRange,
     cell_table_multi,
     check_no_escape_multi,
@@ -64,6 +65,12 @@ class TestEmbed:
         _, emb = embed(MIXG)
         assert emb.layout == ((0, 1), (1, 2), (1, 1))
         assert emb.offsets == (0, 0, 1)
+
+    def test_vertex_preimage_rejects_non_staircase(self):
+        _, emb = embed(TRI)
+        assert emb.vertex_preimage((0, 2)) == (2, 0)
+        with pytest.raises(InvariantViolated):
+            emb.vertex_preimage((2, 0))
 
     def test_ordering_violations_propagate(self):
         from resmat import OrderingViolated
