@@ -36,6 +36,7 @@ from .multihomo import (
     cell_table_multi,
     check_no_escape_multi,
     greedy_closure_multi,
+    keyed_window,
     lattice_points_multi,
     predicted_size_multihomo,
     type_function_multi,
@@ -49,7 +50,7 @@ from .oracles import (
     sparse_det,
     specialize_rows,
 )
-from .subdivision import is_mixed, lattice_points, type_function_of
+from .subdivision import lattice_points, type_function_of
 from .systems import (
     MultiHomoSystem,
     ZonotopeSystem,
@@ -169,6 +170,15 @@ def _type_vector(b, sys_) -> tuple[int, ...]:
     return type_vector_of(type_function_of(b, sys_), sys_.n)
 
 
+def _mixed_by_poly(sys_, closure) -> list[int]:
+    """Per polynomial, the closure points of the mixed cells."""
+    counts = [0] * (sys_.n + 1)
+    window = keyed_window(sys_)
+    for w in window.mixed_window_points():
+        counts[closure[window.from_window(w)].poly] += 1
+    return counts
+
+
 def cmd_sizes(sys_, meta: dict) -> int:
     multi = isinstance(sys_, MultiHomoSystem)
     b_size = sys_.lattice_size()
@@ -179,13 +189,10 @@ def cmd_sizes(sys_, meta: dict) -> int:
     print(f"kind={'multihomogeneous' if multi else 'zonotope'} n={sys_.n}")
     print(f"|B|={b_size} |G|={g} predicted={predicted} ratio={b_size / g:.3f}")
 
-    mixed_by_i: Counter = Counter()
-    for b, rc in closure.items():
-        if is_mixed(_type_vector(b, sys_)):
-            mixed_by_i[rc.poly] += 1
+    mixed_by_i = _mixed_by_poly(sys_, closure)
     print(
         "mixed points per polynomial: "
-        + " ".join(f"i={i}:{mixed_by_i.get(i, 0)}" for i in range(sys_.n + 1))
+        + " ".join(f"i={i}:{c}" for i, c in enumerate(mixed_by_i))
     )
     if multi:
         formula: Counter = Counter()
@@ -321,18 +328,13 @@ def cmd_verify(sys_, args) -> int:
         )
     )
     if not multi:
-        mixed_by_i: Counter = Counter()
-        for b, rc in closure.items():
-            if is_mixed(_type_vector(b, sys_)):
-                mixed_by_i[rc.poly] += 1
+        mixed_by_i = _mixed_by_poly(sys_, closure)
         vols = [mixed_volume(sys_.bounds, i) for i in range(sys_.n + 1)]
-        ok = all(mixed_by_i.get(i, 0) == vols[i] for i in range(sys_.n + 1))
         structural.append(
             (
                 "mixed-count-vs-mixed-volume",
-                ok,
-                f"counts {[mixed_by_i.get(i, 0) for i in range(sys_.n + 1)]} "
-                f"vs volumes {vols}",
+                mixed_by_i == vols,
+                f"counts {mixed_by_i} vs volumes {vols}",
             )
         )
 

@@ -1,32 +1,34 @@
-"""Greedy row selection for box systems.
+"""Greedy row selection for box systems, and the keyed closure engine.
 
 A type vector t is greedy when its prefix sums satisfy
 t_0 + ... + t_I <= I + 1 for every I < n.  The greedy point set is the
 closure of the mixed-cell points under column supports; for ordered bounds
 it coincides with the set of points whose type vector is greedy, which gives
 a closed-form size prediction.
+
+KeyedWindow runs the closure for box and multihomogeneous systems alike.
+Its window coordinates come in blocks that share one bound per polynomial:
+a box coordinate is a block of size 1, and a multihomogeneous block is the
+embedded image of one variable group (see multihomo).  Inside a block,
+window points are strictly increasing and support images are
+nondecreasing sequences in [0, bound].
 """
 
 from __future__ import annotations
 
-from collections import deque
-from itertools import product
-from typing import Iterator, Sequence
+import math
+from collections import defaultdict
+from functools import reduce
+from itertools import accumulate, combinations_with_replacement, permutations, product
+from operator import add, ge, getitem, le, mul, or_
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .subdivision import (
-    column_support,
-    is_mixed,
-    lattice_points,
-    row_content_of,
-    type_function_of,
-)
-from .systems import (
-    Point,
-    RowContent,
-    TypeFunction,
-    ZonotopeSystem,
-    type_vector_of,
-)
+from .errors import InvariantViolated, PointOutOfRange
+from .subdivision import column_support, is_mixed, lattice_points, type_function_of
+from .systems import Point, RowContent, TypeFunction, ZonotopeSystem, type_vector_of
+
+# (phi, type vector, point count, mixed, greedy, row content) of one cell
+CellRow = tuple[TypeFunction, tuple[int, ...], int, bool, bool, RowContent]
 
 
 def is_greedy(t: Sequence[int]) -> bool:
@@ -40,11 +42,175 @@ def is_greedy(t: Sequence[int]) -> bool:
     return True
 
 
-def greedy_type_functions(n: int) -> Iterator[TypeFunction]:
-    """All greedy type functions {1..n} -> {0..n}, in lexicographic order."""
-    for phi in product(range(n + 1), repeat=n):
-        if is_greedy(type_vector_of(phi, n)):
-            yield phi
+class KeyedWindow:
+    """Mixed-radix integer keys over the window of a box system.
+
+    Point w has key sum_k w_k * strides[k]: key order is lexicographic, and
+    a column of row w is key - vertex key + the key of a support image.
+    group_sizes splits the axes into blocks with one bound per polynomial
+    (default: size 1); from_window and vertex_preimage map window points
+    and cell vertices back to the caller's coordinates (default: as is).
+    """
+
+    def __init__(
+        self,
+        zsys: ZonotopeSystem,
+        group_sizes: Sequence[int] | None = None,
+        from_window: Callable[[Sequence[int]], Point] = tuple,
+        vertex_preimage: Callable[[Sequence[int]], Point] = tuple,
+    ):
+        n = zsys.n
+        self.zsys = zsys
+        self.from_window = from_window
+        self.vertex_preimage = vertex_preimage
+        self.totals = zsys.column_totals
+        self.strides = tuple(math.prod(self.totals[k + 1 :]) for k in range(n))
+        sizes = tuple(group_sizes or (1,) * n)
+        self.blocks = tuple(zip(accumulate(sizes, initial=0), accumulate(sizes)))
+        # per coordinate, the first coordinate of its block
+        self.heads = tuple(a for a, b in self.blocks for _ in range(a, b))
+        # coordinates k whose predecessor k - 1 lies in the same block
+        self.steps = tuple(k for k in range(1, n) if self.heads[k] < k)
+        # per axis and coordinate value, 1 << (type of that value)
+        self.type_bits = tuple(
+            tuple(1 << i for i, row in enumerate(zsys.bounds) for _ in range(row[k]))
+            for k in range(n)
+        )
+
+    def key(self, w: Sequence[int]) -> int:
+        return sum(map(mul, w, self.strides))
+
+    def coords(self, key: int) -> list[int]:
+        return [key // s % t for s, t in zip(self.strides, self.totals)]
+
+    def mixed_window_points(self) -> Iterator[Point]:
+        """Window points of the (n+1)! mixed cells, cell by cell.
+
+        A mixed type function takes n distinct values; inside a block it must
+        increase, or its cell holds no window point.
+        """
+        prefixes = self.zsys.column_prefixes
+        for phi in permutations(range(self.zsys.n + 1), self.zsys.n):
+            if all(phi[k - 1] < phi[k] for k in self.steps):
+                yield from product(
+                    *(range(p[v], p[v + 1]) for p, v in zip(prefixes, phi))
+                )
+
+    def _record(self, i: int, above: tuple[bool, ...]) -> tuple:
+        """Shared data of every row with polynomial i and these vertex sides."""
+        bounds = self.zsys.bounds[i]
+        vertex = [a if up else 0 for a, up in zip(bounds, above)]
+        rc = RowContent(i, self.vertex_preimage(vertex))
+        # support images: per block, nondecreasing sequences in [0, bound]
+        images = [
+            [sum(map(mul, d, self.strides[a:b]))
+             for d in combinations_with_replacement(range(bounds[a] + 1), b - a)]
+            for a, b in self.blocks
+        ]
+        # columns w - vertex + image stay in the window and strictly increase
+        # inside blocks iff vertex <= w <= hi and w steps by at least `need`
+        hi = [t - 1 - bounds[h] + v for t, h, v in zip(self.totals, self.heads, vertex)]
+        steps = [(k, 1 + vertex[k] - vertex[k - 1]) for k in self.steps]
+        # column keys relative to the row key: support image minus vertex
+        voff = self.key(vertex)
+        deltas = [sum(c) - voff for c in product(*images)]
+        return rc, deltas, vertex, hi, steps
+
+    def closure(self) -> dict[Point, RowContent]:
+        """Close the mixed points under column supports.
+
+        Returns every reached point with its row content, keyed in window
+        order.  Rows share one record per (polynomial, vertex); a row whose
+        column set leaves the window raises PointOutOfRange.
+        """
+        n = self.zsys.n
+        full = (1 << (n + 1)) - 1
+        lows = [tuple(p[i] for p in self.zsys.column_prefixes) for i in range(n + 1)]
+        coords, type_bits = self.coords, self.type_bits
+        records: dict[tuple, tuple] = {}
+        rows: dict[int, RowContent] = {}
+        seen = set(map(self.key, self.mixed_window_points()))
+        todo = list(seen)
+        while todo:
+            key = todo.pop()
+            w = coords(key)
+            used = reduce(or_, map(getitem, type_bits, w))
+            # the largest type whose count is zero
+            i = (full & ~used).bit_length() - 1
+            # as in row_content_of: no coordinate may have that type
+            if used >> i & 1:
+                raise InvariantViolated("type count of the content index must be zero")
+            above = tuple(map(ge, w, lows[i]))
+            rec = records.get((i, above))
+            if rec is None:
+                rec = records[i, above] = self._record(i, above)
+            rc, deltas, vertex, hi, steps = rec
+            if not (all(map(le, vertex, w)) and all(map(le, w, hi)) and all(
+                w[k] - w[k - 1] >= need for k, need in steps
+            )):
+                raise PointOutOfRange(
+                    f"column support of row {self.from_window(w)} leaves the window"
+                )
+            rows[key] = rc
+            cols = [c for d in deltas if (c := key + d) not in seen]
+            seen.update(cols)
+            todo.extend(cols)
+        return {self.from_window(coords(k)): rows[k] for k in sorted(rows)}
+
+    def predicted_size(self) -> int:
+        """Greedy matrix size by a dynamic program over blocks.
+
+        The state is the type vector of the blocks placed so far, dropped as
+        soon as a prefix sum breaks the greedy rule (later blocks only add to
+        it).  A block of size m adds a count vector c, one per monotone type
+        function on the block, weighted by its cell count prod_k
+        binom(bound_k, c_k); a box coordinate adds a unit vector e_k with
+        weight a_kj.
+        """
+        n = self.zsys.n
+        states = {(0,) * (n + 1): 1}
+        for start, stop in self.blocks:
+            shapes = combinations_with_replacement(range(n + 1), stop - start)
+            counts = [type_vector_of(phi, n) for phi in shapes]
+            moves = [(c, w) for c in counts if (w := self._cell_count(start, c))]
+            nxt: dict[tuple[int, ...], int] = defaultdict(int)
+            for t, count in states.items():
+                for c, weight in moves:
+                    t2 = tuple(map(add, t, c))
+                    # a partial vector obeys the rule beyond its own sum
+                    if is_greedy(t2):
+                        nxt[t2] += count * weight
+            states = nxt
+        return sum(states.values())
+
+    def _cell_count(self, start: int, c: Sequence[int]) -> int:
+        """Points of a block cell whose type function takes value k c_k times."""
+        bounds = self.zsys.bounds
+        return math.prod(math.comb(row[start], ck) for row, ck in zip(bounds, c))
+
+    def cell_table(self) -> list[CellRow]:
+        """Summary of every cell: (phi, t, point count, mixed, greedy, content).
+
+        Cells whose type function decreases inside a block hold no point and
+        are omitted; counts may still be zero (a diagonal block cell whose
+        simplex dimension exceeds its degree).  The content vertex is derived
+        from phi alone, which doubles as a cross check against the per-point
+        row contents.
+        """
+        n = self.zsys.n
+        out = []
+        for phi in product(range(n + 1), repeat=n):
+            if any(phi[k - 1] > phi[k] for k in self.steps):
+                continue
+            t = type_vector_of(phi, n)
+            count = math.prod(
+                self._cell_count(a, type_vector_of(phi[a:b], n)) for a, b in self.blocks
+            )
+            i = max(k for k, c in enumerate(t) if c == 0)
+            vertex = [0 if v < i else a for v, a in zip(phi, self.zsys.bounds[i])]
+            rc = RowContent(i, self.vertex_preimage(vertex))
+            out.append((phi, t, count, is_mixed(t), is_greedy(t), rc))
+        return out
 
 
 def predicted_size_zonotope(sys_: ZonotopeSystem) -> int:
@@ -53,14 +219,7 @@ def predicted_size_zonotope(sys_: ZonotopeSystem) -> int:
     Each greedy cell phi contributes prod_j a_phi(j)j points, so the size of
     the greedy point set is the sum of these products.
     """
-    n = sys_.n
-    total = 0
-    for phi in greedy_type_functions(n):
-        prod_ = 1
-        for j, v in enumerate(phi):
-            prod_ *= sys_.bounds[v][j]
-        total += prod_
-    return total
+    return KeyedWindow(sys_).predicted_size()
 
 
 def greedy_closure(sys_: ZonotopeSystem) -> dict[Point, RowContent]:
@@ -70,57 +229,22 @@ def greedy_closure(sys_: ZonotopeSystem) -> dict[Point, RowContent]:
     order.  Starting from the points of mixed cells, repeatedly add all
     column points of rows already collected.
     """
-    n = sys_.n
-    contents: dict[Point, RowContent] = {}
-    seen: set[Point] = set()
-    queue: deque[Point] = deque()
-    for b in lattice_points(sys_):
-        t = type_vector_of(type_function_of(b, sys_), n)
-        if is_mixed(t):
-            seen.add(b)
-            queue.append(b)
-    while queue:
-        b = queue.popleft()
-        contents[b] = row_content_of(b, sys_)
-        for col in column_support(b, sys_):
-            if col not in seen:
-                seen.add(col)
-                queue.append(col)
-    return {b: contents[b] for b in sorted(contents)}
+    return KeyedWindow(sys_).closure()
 
 
 def check_no_escape(sys_: ZonotopeSystem) -> bool:
     """Exhaustive check that column supports never leave the greedy set."""
-    n = sys_.n
-    greedy_set = set()
-    for b in lattice_points(sys_):
-        if is_greedy(type_vector_of(type_function_of(b, sys_), n)):
-            greedy_set.add(b)
-    for b in greedy_set:
-        for col in column_support(b, sys_):
-            if col not in greedy_set:
-                return False
-    return True
+    return no_escape(sys_, lattice_points(sys_), type_function_of, column_support)
 
 
-def cell_table(
-    sys_: ZonotopeSystem,
-) -> list[tuple[TypeFunction, tuple[int, ...], int, bool, bool, RowContent]]:
-    """Summary of every cell: (phi, t, point count, mixed, greedy, content).
+def no_escape(sys_, points: Iterable[Point], type_function, columns) -> bool:
+    """True when the per-point columns of greedy points are greedy points."""
+    greedy_set = {
+        b for b in points if is_greedy(type_vector_of(type_function(b, sys_), sys_.n))
+    }
+    return all(col in greedy_set for b in greedy_set for col in columns(b, sys_))
 
-    The content vertex is derived from phi alone, which doubles as a cross
-    check against the per-point row_content_of values.
-    """
-    n = sys_.n
-    out = []
-    for phi in product(range(n + 1), repeat=n):
-        t = type_vector_of(phi, n)
-        count = 1
-        for j, v in enumerate(phi):
-            count *= sys_.bounds[v][j]
-        i = max(k for k, c in enumerate(t) if c == 0)
-        vertex = tuple(
-            0 if phi[j] < i else sys_.bounds[i][j] for j in range(n)
-        )
-        out.append((phi, t, count, is_mixed(t), is_greedy(t), RowContent(i, vertex)))
-    return out
+
+def cell_table(sys_: ZonotopeSystem) -> list[CellRow]:
+    """Summary of every cell: (phi, t, point count, mixed, greedy, content)."""
+    return KeyedWindow(sys_).cell_table()

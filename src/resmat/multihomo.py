@@ -22,16 +22,14 @@ every block.  No separate simplex subdivision code exists.
 
 from __future__ import annotations
 
-import math
-from collections import deque
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from itertools import product
+from functools import lru_cache
+from itertools import accumulate, product
 from typing import Iterator, Sequence
 
 from .errors import BadShape, InvariantViolated, PointOutOfRange
-from .greedy import greedy_type_functions, is_greedy
-from .subdivision import is_mixed, row_content_of, type_function_of
+from .greedy import CellRow, KeyedWindow, no_escape
+from .subdivision import row_content_of, type_function_of
 from .systems import (
     MultiHomoSystem,
     Point,
@@ -39,7 +37,6 @@ from .systems import (
     TypeFunction,
     ZonotopeSystem,
     _simplex_points,
-    type_vector_of,
     validate_zonotope,
 )
 
@@ -48,28 +45,11 @@ from .systems import (
 class Embedding:
     """Coordinate bookkeeping for one multihomogeneous system.
 
-    W holds the zonotope generator columns of the embedded system (1 on the
-    diagonal, -1 on the block superdiagonal), H the dual pairing columns
-    (block lower-triangular of ones); both are in the natural coordinate
-    order.  layout maps each embedded coordinate to (block, natural
-    position), recording the within-block reversal, and offsets holds the
-    per-coordinate window shift k - 1.
+    Embedded coordinate k of a block is the sum of the block's last k
+    exponents, shifted by k - 1 for window points.
     """
 
-    group_sizes: tuple[int, ...]
-    W: tuple[tuple[int, ...], ...]
-    H: tuple[tuple[int, ...], ...]
-    layout: tuple[tuple[int, int], ...]
-    offsets: tuple[int, ...]
-
-    @cached_property
-    def group_slices(self) -> tuple[tuple[int, int], ...]:
-        out = []
-        start = 0
-        for size in self.group_sizes:
-            out.append((start, start + size))
-            start += size
-        return tuple(out)
+    group_slices: tuple[tuple[int, int], ...]
 
     def to_window(self, b: Sequence[int]) -> Point:
         """Embedded window coordinates of a multihomogeneous point.
@@ -77,7 +57,7 @@ class Embedding:
         Coordinate k of a block is the sum of the block's last k exponents
         plus the shift k - 1.
         """
-        n = sum(self.group_sizes)
+        n = self.group_slices[-1][1]
         if len(b) != n:
             raise BadShape(f"point {tuple(b)} has {len(b)} coordinates, expected {n}")
         for j, c in enumerate(b):
@@ -86,22 +66,10 @@ class Embedding:
                     f"coordinate {j} of {tuple(b)} is negative; exponent "
                     f"vectors must be nonnegative"
                 )
-        out = []
+        out: list[int] = []
         for start, stop in self.group_slices:
-            acc = 0
-            for k in range(1, stop - start + 1):
-                acc += b[stop - k]
-                out.append(acc + k - 1)
-        return tuple(out)
-
-    def support_image(self, a: Sequence[int]) -> Point:
-        """Embedded coordinates of a support point (no window shift)."""
-        out = []
-        for start, stop in self.group_slices:
-            acc = 0
-            for k in range(1, stop - start + 1):
-                acc += a[stop - k]
-                out.append(acc)
+            sums = accumulate(reversed(b[start:stop]))
+            out.extend(acc + k for k, acc in enumerate(sums))
         return tuple(out)
 
     def vertex_preimage(self, v: Sequence[int]) -> Point:
@@ -111,25 +79,30 @@ class Embedding:
         staircase of 0s then a constant d; the preimage is then either the
         origin or d times a unit vector of the block.
         """
-        out = [0] * len(v)
+        if not is_valid_group_typefn(v, self):
+            raise InvariantViolated(
+                "embedded vertex is not a staircase; the cell "
+                "vertex does not come from a simplex vertex"
+            )
+        return self._unstack(v, 0)
+
+    def from_window(self, w: Sequence[int]) -> Point:
+        """Exponent vector of an embedded window point (inverse of to_window)."""
+        return self._unstack(w, 1)
+
+    def _unstack(self, e: Sequence[int], shift: int) -> Point:
+        # window coordinate k mirrors to natural position stop-1-(k-start);
+        # it holds the step between consecutive suffix sums, less the shift
+        out = [0] * len(e)
         for start, stop in self.group_slices:
-            seg = v[start:stop]
-            m = stop - start
-            for k in range(m - 1):
-                if seg[k] > seg[k + 1]:
-                    raise InvariantViolated(
-                        "embedded vertex is not a staircase; the cell "
-                        "vertex does not come from a simplex vertex"
-                    )
-            # natural position p holds the difference of the last-(m+1-p)
-            # and last-(m-p) sums
-            prev = 0
-            for k in range(m):
-                out[stop - 1 - k] = seg[k] - prev
-                prev = seg[k]
+            prev = -shift
+            for k in range(start, stop):
+                out[stop - 1 - (k - start)] = e[k] - prev - shift
+                prev = e[k]
         return tuple(out)
 
 
+@lru_cache(maxsize=None)
 def embed(sys_: MultiHomoSystem) -> tuple[ZonotopeSystem, Embedding]:
     """Embedded box system plus the coordinate bookkeeping.
 
@@ -137,70 +110,22 @@ def embed(sys_: MultiHomoSystem) -> tuple[ZonotopeSystem, Embedding]:
     box-system validation (including row ordering) applies verbatim and its
     errors propagate.
     """
-    return _embed_cached(sys_)
-
-
-@lru_cache(maxsize=None)
-def _embed_cached(sys_: MultiHomoSystem) -> tuple[ZonotopeSystem, Embedding]:
-    n = sys_.n
-    bounds = []
-    for row in sys_.degrees:
-        flat = []
-        for l, m in enumerate(sys_.group_sizes):
-            flat.extend([row[l]] * m)
-        bounds.append(flat)
-    zsys = validate_zonotope(bounds)
-
-    W = [[0] * n for _ in range(n)]
-    H = [[0] * n for _ in range(n)]
-    layout = []
-    offsets = []
-    start = 0
-    for l, m in enumerate(sys_.group_sizes):
-        for k in range(m):
-            W[start + k][start + k] = 1
-            if k + 1 < m:
-                W[start + k][start + k + 1] = -1
-            for r in range(k, m):
-                H[start + r][start + k] = 1
-            layout.append((l, m - k))
-            offsets.append(k)
-        start += m
-    emb = Embedding(
-        sys_.group_sizes,
-        tuple(tuple(r) for r in W),
-        tuple(tuple(r) for r in H),
-        tuple(layout),
-        tuple(offsets),
-    )
-    return zsys, emb
-
-
-def zono_coords(b: Sequence[int], emb: Embedding) -> Point:
-    """Suffix sums within each block, in the natural coordinate order.
-
-    These are the coefficients of the point in the zonotope generator basis
-    W.  Note the subdivision engine works in the reversed-and-shifted window
-    coordinates instead (Embedding.to_window).
-    """
-    out = []
-    for start, stop in emb.group_slices:
-        for p in range(start, stop):
-            out.append(sum(b[p:stop]))
-    return tuple(out)
+    bounds = [
+        [d for d, m in zip(row, sys_.group_sizes) for _ in range(m)]
+        for row in sys_.degrees
+    ]
+    return validate_zonotope(bounds), Embedding(sys_.group_slices)
 
 
 def is_valid_group_typefn(phi: Sequence[int], emb: Embedding) -> bool:
     """True when phi is nondecreasing along positions inside every block.
 
     Only such type functions occur among multihomogeneous points; cells with
-    any other type function carry no points of the lattice window.
+    any other type function carry no points of the lattice window.  Cell
+    vertices are nondecreasing inside blocks for the same reason.
     """
-    for start, stop in emb.group_slices:
-        for k in range(start, stop - 1):
-            if phi[k] > phi[k + 1]:
-                return False
-    return True
+    blocks = emb.group_slices
+    return all(phi[k] <= phi[k + 1] for a, b in blocks for k in range(a, b - 1))
 
 
 def lattice_points_multi(sys_: MultiHomoSystem) -> Iterator[Point]:
@@ -249,42 +174,23 @@ def column_support_multi(
         yield tuple(c + x for c, x in zip(base, a))
 
 
+def keyed_window(sys_: ZonotopeSystem | MultiHomoSystem) -> KeyedWindow:
+    """Integer-keyed window of a box system or of an embedded grouped system."""
+    if not isinstance(sys_, MultiHomoSystem):
+        return KeyedWindow(sys_)
+    zsys, emb = embed(sys_)
+    return KeyedWindow(zsys, sys_.group_sizes, emb.from_window, emb.vertex_preimage)
+
+
 def greedy_closure_multi(sys_: MultiHomoSystem) -> dict[Point, RowContent]:
     """Close the mixed multihomogeneous points under column supports."""
-    zsys, emb = embed(sys_)
-    n = sys_.n
-    contents: dict[Point, RowContent] = {}
-    seen: set[Point] = set()
-    queue: deque[Point] = deque()
-    for b in lattice_points_multi(sys_):
-        t = type_vector_of(type_function_of(emb.to_window(b), zsys), n)
-        if is_mixed(t):
-            seen.add(b)
-            queue.append(b)
-    while queue:
-        b = queue.popleft()
-        contents[b] = row_content_multi(b, sys_)
-        for col in column_support_multi(b, sys_):
-            if col not in seen:
-                seen.add(col)
-                queue.append(col)
-    return {b: contents[b] for b in sorted(contents)}
+    return dict(sorted(keyed_window(sys_).closure().items()))
 
 
 def check_no_escape_multi(sys_: MultiHomoSystem) -> bool:
     """Column supports of greedy points stay greedy and inside the window."""
-    zsys, emb = embed(sys_)
-    n = sys_.n
-    greedy_set = set()
-    for b in lattice_points_multi(sys_):
-        t = type_vector_of(type_function_of(emb.to_window(b), zsys), n)
-        if is_greedy(t):
-            greedy_set.add(b)
-    for b in greedy_set:
-        for col in column_support_multi(b, sys_):
-            if col not in greedy_set:
-                return False
-    return True
+    points = lattice_points_multi(sys_)
+    return no_escape(sys_, points, type_function_multi, column_support_multi)
 
 
 def predicted_size_multihomo(sys_: MultiHomoSystem) -> int:
@@ -294,44 +200,9 @@ def predicted_size_multihomo(sys_: MultiHomoSystem) -> int:
     prod_l prod_k binom(d_kl, #{positions of block l with phi = k}) points,
     with binom(d, m) = 0 whenever m > d.
     """
-    _, emb = embed(sys_)
-    n = sys_.n
-    total = 0
-    for phi in greedy_type_functions(n):
-        if is_valid_group_typefn(phi, emb):
-            total += _cell_count(phi, sys_, emb)
-    return total
+    return keyed_window(sys_).predicted_size()
 
 
-def _cell_count(phi: Sequence[int], sys_: MultiHomoSystem, emb: Embedding) -> int:
-    count = 1
-    for l, (start, stop) in enumerate(emb.group_slices):
-        seg = phi[start:stop]
-        for k in range(sys_.n + 1):
-            count *= math.comb(sys_.degrees[k][l], seg.count(k))
-    return count
-
-
-def cell_table_multi(
-    sys_: MultiHomoSystem,
-) -> list[tuple[TypeFunction, tuple[int, ...], int, bool, bool, RowContent]]:
-    """Summary of every block-monotone cell, in lexicographic phi order.
-
-    Non-monotone cells carry no points and are omitted.  Counts may be zero
-    (a diagonal cell whose simplex dimension exceeds its degree).
-    """
-    zsys, emb = embed(sys_)
-    n = sys_.n
-    out = []
-    for phi in product(range(n + 1), repeat=n):
-        if not is_valid_group_typefn(phi, emb):
-            continue
-        t = type_vector_of(phi, n)
-        count = _cell_count(phi, sys_, emb)
-        i = max(k for k, c in enumerate(t) if c == 0)
-        embedded_vertex = tuple(
-            0 if phi[k] < i else zsys.bounds[i][k] for k in range(n)
-        )
-        vertex = emb.vertex_preimage(embedded_vertex)
-        out.append((phi, t, count, is_mixed(t), is_greedy(t), RowContent(i, vertex)))
-    return out
+def cell_table_multi(sys_: MultiHomoSystem) -> list[CellRow]:
+    """Summary of every block-monotone cell, in lexicographic phi order."""
+    return keyed_window(sys_).cell_table()

@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .errors import BadShape, NotPrime
+from .errors import BadShape, NotPrime, ResmatError
 from .greedy import greedy_closure
 from .matrix import SymbolicMatrix, build_matrix, principal_submatrix
 from .multihomo import greedy_closure_multi, lattice_points_multi
@@ -29,16 +29,17 @@ from .systems import CoeffRef, MultiHomoSystem, Point, ZonotopeSystem
 
 DEFAULT_PRIME = 2147483647  # 2^31 - 1
 
-# Witness set making Miller-Rabin deterministic for all 64-bit inputs (and
-# well beyond); no probabilistic acceptance is involved.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The first 13 primes as Miller-Rabin witnesses decide primality for every
+# p below _MR_LIMIT (Sorenson and Webster, Math. Comp. 2017); larger moduli are
+# refused rather than accepted as probable primes.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981
 
 
 def _is_prime(p: int) -> bool:
     if p < 2:
         return False
-    small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-    for q in small:
+    for q in _MR_BASES:
         if p == q:
             return True
         if p % q == 0:
@@ -62,6 +63,10 @@ def _is_prime(p: int) -> bool:
 
 
 def _require_prime(p: int) -> None:
+    if p >= _MR_LIMIT:
+        raise NotPrime(
+            f"{p} is not below {_MR_LIMIT}, where witnesses 2..41 prove primality"
+        )
     if not _is_prime(p):
         raise NotPrime(f"{p} is not prime")
 
@@ -399,6 +404,8 @@ def verify_quotient(
     (seed, trial, attempt), so failures are reproducible from the report.
     """
     _require_prime(p)
+    if trials < 1:
+        raise ResmatError(f"trials must be at least 1, got {trials}")
     if isinstance(sys_, MultiHomoSystem):
         full_points = lattice_points_multi(sys_)
         greedy_points = greedy_closure_multi(sys_)

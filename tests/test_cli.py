@@ -70,7 +70,50 @@ class TestLoadSystem:
             cli.load_system(str(path))
 
 
+SIZES_REPORTS = {
+    "ones5": (
+        {"kind": "zonotope", "bounds": [[1] * 5] * 6},
+        "kind=zonotope n=5\n"
+        "|B|=7776 |G|=4802 predicted=4802 ratio=1.619\n"
+        "mixed points per polynomial: i=0:120 i=1:120 i=2:120 i=3:120 i=4:120 i=5:120\n"
+        "mixed volumes per polynomial: "
+        "i=0:120 i=1:120 i=2:120 i=3:120 i=4:120 i=5:120\n",
+    ),
+    "box222": (
+        {"kind": "zonotope", "bounds": [[2, 2, 2]] * 4},
+        "kind=zonotope n=3\n"
+        "|B|=512 |G|=400 predicted=400 ratio=1.280\n"
+        "mixed points per polynomial: i=0:48 i=1:48 i=2:48 i=3:48\n"
+        "mixed volumes per polynomial: i=0:48 i=1:48 i=2:48 i=3:48\n",
+    ),
+    "box456": (
+        {"kind": "zonotope", "bounds": [[4, 4], [5, 5], [6, 6]]},
+        "kind=zonotope n=2\n"
+        "|B|=225 |G|=209 predicted=209 ratio=1.077\n"
+        "mixed points per polynomial: i=0:60 i=1:48 i=2:40\n"
+        "mixed volumes per polynomial: i=0:60 i=1:48 i=2:40\n",
+    ),
+    "multi32": (
+        {"kind": "multihomogeneous", "groups": [3, 2], "degrees": [[2, 2]] * 6},
+        "kind=multihomogeneous n=5\n"
+        "|B|=14520 |G|=9464 predicted=9464 ratio=1.534\n"
+        "mixed points per polynomial: i=0:320 i=1:320 i=2:320 i=3:320 i=4:320 i=5:320\n"
+        "mixed points per polynomial (cell formula): "
+        "i=0:320 i=1:320 i=2:320 i=3:320 i=4:320 i=5:320\n",
+    ),
+}
+
+
 class TestSizes:
+    @pytest.mark.parametrize("name", sorted(SIZES_REPORTS))
+    def test_exact_report(self, name, tmp_path, capsys):
+        payload, expected = SIZES_REPORTS[name]
+        path = write_spec(tmp_path, f"{name}.json", payload)
+        assert cli.main(["sizes", path]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == expected
+        assert captured.err == ""
+
     def test_unit_report(self, capsys):
         assert cli.main(["sizes", UNIT2_SPEC]) == 0
         out = capsys.readouterr().out
@@ -185,6 +228,15 @@ class TestVerifyCommand:
 
     def test_not_prime_exit_2(self, capsys):
         assert cli.main(["verify", UNIT2_SPEC, "--prime", "10"]) == 2
+
+    def test_prime_beyond_proven_range_exit_2(self, capsys):
+        # 2^89 - 1 is prime, but above the range where the fixed witnesses
+        # are proven to decide primality
+        assert cli.main(["verify", UNIT2_SPEC, "--prime", str(2**89 - 1)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
 
     def test_trials_below_one_exit_2(self, capsys):
         assert cli.main(["verify", UNIT2_SPEC, "--trials", "0"]) == 2

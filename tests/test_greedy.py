@@ -5,7 +5,6 @@ from resmat import (
     cell_table,
     check_no_escape,
     greedy_closure,
-    greedy_type_functions,
     is_greedy,
     is_mixed,
     lattice_points,
@@ -46,18 +45,6 @@ class TestIsGreedy:
                 t = type_vector_of(phi, n)
                 if is_mixed(t):
                     assert is_greedy(t)
-
-
-class TestGreedyTypeFunctions:
-    def test_count_n2(self):
-        fns = list(greedy_type_functions(2))
-        assert len(fns) == 8
-        assert (0, 0) not in fns
-        assert fns == sorted(fns)
-
-    def test_all_pass_predicate(self):
-        for phi in greedy_type_functions(3):
-            assert is_greedy(type_vector_of(phi, 3))
 
 
 class TestPredictedSize:

@@ -1,0 +1,210 @@
+"""The integer-keyed closure and the block dynamic program against brute force.
+
+The references here are written from the public per-point functions only:
+a breadth-first closure over point tuples driven by column_support /
+column_support_multi, and a cell sum over all (n+1)^n type functions.
+"""
+
+import math
+from collections import deque
+from itertools import product
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from resmat import (
+    MultiHomoSystem,
+    OrderingViolated,
+    PointOutOfRange,
+    ZonotopeSystem,
+    column_support,
+    column_support_multi,
+    greedy_closure,
+    greedy_closure_multi,
+    is_mixed,
+    lattice_points,
+    lattice_points_multi,
+    predicted_size_multihomo,
+    predicted_size_zonotope,
+    row_content_multi,
+    row_content_of,
+    type_function_multi,
+    type_function_of,
+    type_vector_of,
+)
+from resmat.greedy import KeyedWindow
+
+
+def tuple_closure(seeds, content, columns):
+    contents = {}
+    seen = set(seeds)
+    queue = deque(seeds)
+    while queue:
+        b = queue.popleft()
+        contents[b] = content(b)
+        for col in columns(b):
+            if col not in seen:
+                seen.add(col)
+                queue.append(col)
+    return dict(sorted(contents.items()))
+
+
+def box_reference(sys_):
+    seeds = [
+        b for b in lattice_points(sys_)
+        if is_mixed(type_vector_of(type_function_of(b, sys_), sys_.n))
+    ]
+    return tuple_closure(
+        seeds,
+        lambda b: row_content_of(b, sys_),
+        lambda b: column_support(b, sys_),
+    )
+
+
+def multi_reference(sys_):
+    seeds = [
+        b for b in lattice_points_multi(sys_)
+        if is_mixed(type_vector_of(type_function_multi(b, sys_), sys_.n))
+    ]
+    return tuple_closure(
+        seeds,
+        lambda b: row_content_multi(b, sys_),
+        lambda b: column_support_multi(b, sys_),
+    )
+
+
+def greedy_prefix(t):
+    return all(sum(t[: k + 1]) <= k + 1 for k in range(len(t) - 1))
+
+
+@st.composite
+def box_systems(draw, ordered):
+    n = draw(st.integers(1, 3))
+    cols = []
+    for _ in range(n):
+        col = draw(st.lists(st.integers(1, 4), min_size=n + 1, max_size=n + 1))
+        cols.append(sorted(col[:n]) + col[n:] if ordered else col)
+    return ZonotopeSystem(tuple(zip(*cols)))
+
+
+@st.composite
+def multi_systems(draw, ordered=True):
+    sizes = draw(st.sampled_from(
+        [(1,), (2,), (3,), (4,), (1, 1), (1, 2), (2, 1), (2, 2), (1, 3)]
+    ))
+    n = sum(sizes)
+    top = 3 if n <= 3 else 2
+    cols = []
+    for _ in sizes:
+        col = draw(st.lists(st.integers(1, top), min_size=n + 1, max_size=n + 1))
+        cols.append(sorted(col[:n]) + col[n:] if ordered else col)
+    return MultiHomoSystem(sizes, tuple(zip(*cols)))
+
+
+class TestClosureMatchesTupleBFS:
+    @settings(max_examples=30, deadline=None)
+    @given(box_systems(ordered=True))
+    def test_ordered_boxes(self, sys_):
+        cl = greedy_closure(sys_)
+        ref = box_reference(sys_)
+        assert list(cl.items()) == list(ref.items())
+
+    @settings(max_examples=30, deadline=None)
+    @given(box_systems(ordered=False))
+    def test_unordered_boxes(self, sys_):
+        assert list(greedy_closure(sys_).items()) == list(box_reference(sys_).items())
+
+    @settings(max_examples=40, deadline=None)
+    @given(multi_systems())
+    def test_multihomogeneous(self, sys_):
+        cl = greedy_closure_multi(sys_)
+        ref = multi_reference(sys_)
+        assert list(cl.items()) == list(ref.items())
+
+    @settings(max_examples=20, deadline=None)
+    @given(multi_systems(ordered=False))
+    def test_unordered_multihomogeneous_rejected_alike(self, sys_):
+        try:
+            ref = multi_reference(sys_)
+        except OrderingViolated:
+            with pytest.raises(OrderingViolated):
+                greedy_closure_multi(sys_)
+        else:
+            assert list(greedy_closure_multi(sys_).items()) == list(ref.items())
+
+
+class TestSizeProgramMatchesCellSum:
+    @settings(max_examples=60, deadline=None)
+    @given(box_systems(ordered=False))
+    def test_boxes(self, sys_):
+        n = sys_.n
+        total = 0
+        for phi in product(range(n + 1), repeat=n):
+            if greedy_prefix(type_vector_of(phi, n)):
+                total += math.prod(sys_.bounds[v][j] for j, v in enumerate(phi))
+        assert predicted_size_zonotope(sys_) == total
+
+    @settings(max_examples=40, deadline=None)
+    @given(multi_systems())
+    def test_multihomogeneous(self, sys_):
+        n = sys_.n
+        total = 0
+        for phi in product(range(n + 1), repeat=n):
+            if not greedy_prefix(type_vector_of(phi, n)):
+                continue
+            count = 1
+            for l, (start, stop) in enumerate(sys_.group_slices):
+                seg = phi[start:stop]
+                if list(seg) != sorted(seg):
+                    count = 0
+                    break
+                for k in range(n + 1):
+                    count *= math.comb(sys_.degrees[k][l], seg.count(k))
+            total += count
+        assert predicted_size_multihomo(sys_) == total
+
+
+class TestEscape:
+    def test_escaping_column_raises(self):
+        # Validated systems never escape: each coordinate's column range
+        # stays inside its own interval block.  A block whose coordinates
+        # do not share their bounds is no embedded simplex, and there the
+        # support image of the last polynomial leaves the window.
+        zsys = ZonotopeSystem(((1, 1), (1, 1), (2, 1)))
+        window = KeyedWindow(zsys, (2,))
+        with pytest.raises(PointOutOfRange):
+            window.closure()
+
+    def test_escape_check_is_exact(self):
+        # the O(n) test agrees with checking every column point
+        for flat in product((1, 2), repeat=6):
+            zsys = ZonotopeSystem((flat[0:2], flat[2:4], flat[4:6]))
+            window = KeyedWindow(zsys, (2,))
+            try:
+                window.closure()
+                escaped = False
+            except PointOutOfRange:
+                escaped = True
+            assert escaped == _escapes_pointwise(window)
+
+
+def _escapes_pointwise(window):
+    zsys = window.zsys
+    valid = {w for w in lattice_points(zsys) if w[0] < w[1]}
+    seen = set(window.mixed_window_points())
+    queue = deque(seen)
+    while queue:
+        w = queue.popleft()
+        poly, vertex = row_content_of(w, zsys)
+        d = zsys.bounds[poly][0]
+        for a, b in product(range(d + 1), repeat=2):
+            if a > b:
+                continue
+            col = (w[0] - vertex[0] + a, w[1] - vertex[1] + b)
+            if col not in valid:
+                return True
+            if col not in seen:
+                seen.add(col)
+                queue.append(col)
+    return False

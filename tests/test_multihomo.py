@@ -23,7 +23,6 @@ from resmat import (
     type_function_of,
     type_vector_of,
     validate_multihomo,
-    zono_coords,
 )
 
 # one block of size 2, degrees (2, 2, 1): the worked 9x9 example
@@ -38,33 +37,10 @@ class TestEmbed:
         zsys, _ = embed(TRI)
         assert zsys.bounds == ((2, 2), (2, 2), (1, 1))
 
-    def test_block_matrices(self):
-        _, emb = embed(TRI)
-        assert emb.W == ((1, -1), (0, 1))
-        assert emb.H == ((1, 0), (1, 1))
-
     def test_bilinear_is_identity(self):
         zsys, emb = embed(BI)
-        assert emb.W == ((1, 0), (0, 1))
+        assert emb.to_window((1, 0)) == (1, 0)
         assert zsys.bounds == ((1, 1), (1, 1), (1, 1))
-
-    def test_pairing_orthogonality(self):
-        # column j of W pairs nonzero exactly with column j of H
-        for sys_ in (TRI, BI, MIXG):
-            _, emb = embed(sys_)
-            n = sum(emb.group_sizes)
-            for j in range(n):
-                for k in range(n):
-                    dot = sum(emb.W[r][j] * emb.H[r][k] for r in range(n))
-                    assert (dot != 0) == (j == k)
-
-    def test_layout_and_offsets(self):
-        _, emb = embed(TRI)
-        assert emb.layout == ((0, 2), (0, 1))
-        assert emb.offsets == (0, 1)
-        _, emb = embed(MIXG)
-        assert emb.layout == ((0, 1), (1, 2), (1, 1))
-        assert emb.offsets == (0, 0, 1)
 
     def test_vertex_preimage_rejects_non_staircase(self):
         _, emb = embed(TRI)
@@ -79,16 +55,22 @@ class TestEmbed:
             validate_multihomo((2,), [[2], [1], [2]])
 
 
-class TestZonoCoords:
+class TestWindowCoords:
     def test_suffix_sums(self):
         _, emb = embed(TRI)
-        assert zono_coords((1, 1), emb) == (2, 1)
-        assert zono_coords((0, 0), emb) == (0, 0)
+        assert emb.to_window((1, 1)) == (1, 3)
+        assert emb.to_window((0, 0)) == (0, 1)
 
     def test_single_slots_are_identity(self):
         _, emb = embed(BI)
-        assert zono_coords((1, 0), emb) == (1, 0)
-        assert zono_coords((0, 1), emb) == (0, 1)
+        assert emb.to_window((1, 0)) == (1, 0)
+        assert emb.to_window((0, 1)) == (0, 1)
+
+    @pytest.mark.parametrize("sys_", [TRI, BI, MIXG], ids=["tri", "bi", "mixg"])
+    def test_from_window_inverts_to_window(self, sys_):
+        _, emb = embed(sys_)
+        for b in lattice_points_multi(sys_):
+            assert emb.from_window(emb.to_window(b)) == b
 
 
 class TestGroupTypefn:

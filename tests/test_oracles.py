@@ -7,6 +7,7 @@ from resmat import (
     CoeffRef,
     DEFAULT_PRIME,
     NotPrime,
+    ResmatError,
     build_matrix,
     draw_coefficients,
     ff_det,
@@ -21,6 +22,7 @@ from resmat import (
     validate_zonotope,
     verify_quotient,
 )
+from resmat.oracles import _require_prime
 
 P = DEFAULT_PRIME
 
@@ -214,6 +216,27 @@ class TestVerifyQuotient:
         s = validate_zonotope([[1], [1]])
         with pytest.raises(NotPrime):
             verify_quotient(s, p=12, trials=1)
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_no_trials_rejected(self, trials):
+        s = validate_zonotope([[1, 1], [1, 1], [1, 1]])
+        with pytest.raises(ResmatError, match="trials must be at least 1"):
+            verify_quotient(s, trials=trials)
+
+
+class TestRequirePrime:
+    def test_strong_pseudoprimes_rejected(self):
+        # the least composites passing Miller-Rabin for the first 12 and
+        # the first 13 prime bases (Sorenson and Webster)
+        for p in (318665857834031151167461, 3317044064679887385961981):
+            with pytest.raises(NotPrime):
+                _require_prime(p)
+
+    def test_proven_range(self):
+        _require_prime(DEFAULT_PRIME)
+        _require_prime(2**61 - 1)
+        with pytest.raises(NotPrime, match="2..41"):
+            _require_prime(2**89 - 1)
 
 
 class TestDegenerateSpecialization:
