@@ -341,11 +341,8 @@ def cmd_verify(sys_, args) -> int:
     gated = b_size <= args.quotient_limit
     if gated:
         full = build_matrix(list(_all_points(sys_)), sys_)
-        tri_ok = all(
-            full.greedy_flags[c]
-            for (r, c) in full.entries
-            if full.greedy_flags[r]
-        )
+        flags = full.greedy_flags
+        tri_ok = all(flags[c] for row, f in zip(full.rows, flags) if f for c, _ in row)
         structural.append(("block-triangular", tri_ok, ""))
 
         k = sum(full.greedy_flags)

@@ -14,8 +14,11 @@ columns), which the verification suite exploits.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import partial
+from operator import add, itemgetter, sub
+from typing import Iterable, Iterator, Sequence
 
 from .errors import NotClosed, UnsupportedFormat
 from .greedy import is_greedy
@@ -31,17 +34,37 @@ from .systems import (
 )
 
 
+class _Entries(Mapping):
+    """Read-only {(row, col): CoeffRef} view of a row list, in row order."""
+
+    def __init__(self, rows: Sequence[Sequence[tuple[int, CoeffRef]]]):
+        self._rows = rows
+
+    def __getitem__(self, key: tuple[int, int]) -> CoeffRef:
+        r, c = key
+        if 0 <= r < len(self._rows) and (ref := dict(self._rows[r]).get(c)):
+            return ref
+        raise KeyError(key)
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        return ((r, c) for r, row in enumerate(self._rows) for c, _ in row)
+
+    def __len__(self) -> int:
+        return sum(map(len, self._rows))
+
+
 @dataclass(frozen=True)
 class SymbolicMatrix:
-    """Square sparse matrix of coefficient labels.
+    """Square sparse matrix of coefficient labels, stored as rows.
 
-    entries maps (row index, column index) to a CoeffRef; both indices refer
-    to positions in the points tuple.  Treat entries as read-only.
+    rows[r] holds the nonzeros of row r as (column index, CoeffRef) pairs in
+    increasing column order; both indices refer to positions in the points
+    tuple.  A CoeffRef object is shared by every row that carries its label.
     """
 
     n: int
     points: tuple[Point, ...]
-    entries: dict[tuple[int, int], CoeffRef]
+    rows: tuple[tuple[tuple[int, CoeffRef], ...], ...]
     mixed_flags: tuple[bool, ...]
     greedy_flags: tuple[bool, ...]
     row_contents: tuple[RowContent, ...]
@@ -50,25 +73,10 @@ class SymbolicMatrix:
     def size(self) -> int:
         return len(self.points)
 
-    def entry(self, row: int, col: int) -> CoeffRef | None:
-        return self.entries.get((row, col))
-
-    def row_entries(self, row: int) -> list[tuple[int, CoeffRef]]:
-        out = [
-            (c, ref) for (r, c), ref in self.entries.items() if r == row
-        ]
-        out.sort()
-        return out
-
-
-def _order_key(greedy: bool, mixed: bool, b: Point) -> tuple[int, Point]:
-    if greedy and mixed:
-        rank = 0
-    elif greedy:
-        rank = 1
-    else:
-        rank = 2
-    return rank, b
+    @property
+    def entries(self) -> Mapping[tuple[int, int], CoeffRef]:
+        """The nonzeros as a read-only mapping (row, col) -> CoeffRef."""
+        return _Entries(self.rows)
 
 
 def build_matrix(
@@ -84,39 +92,37 @@ def build_matrix(
     if isinstance(sys_, MultiHomoSystem):
         if reflected:
             raise ValueError("reflected orientation applies to box systems only")
-        typefn = type_function_multi
-        content = row_content_multi
+        typefn, content = type_function_multi, row_content_multi
     else:
-        def typefn(b, s):
-            return type_function_of(b, s, reflected=reflected)
-
-        def content(b, s):
-            return row_content_of(b, s, reflected=reflected)
+        typefn = partial(type_function_of, reflected=reflected)
+        content = partial(row_content_of, reflected=reflected)
 
     n = sys_.n
-    pts = sorted(set(tuple(b) for b in points))
     decorated = []
-    for b in pts:
+    for b in sorted(set(map(tuple, points))):
         t = type_vector_of(typefn(b, sys_), n)
         decorated.append((b, is_mixed(t), is_greedy(t), content(b, sys_)))
-    decorated.sort(key=lambda d: _order_key(d[2], d[1], d[0]))
+    # greedy-mixed, then greedy, then the rest (a mixed point is greedy)
+    decorated.sort(key=lambda d: (not d[2], not d[1], d[0]))
 
     ordered = tuple(d[0] for d in decorated)
     index = {b: i for i, b in enumerate(ordered)}
-    entries: dict[tuple[int, int], CoeffRef] = {}
-    for ri, (b, _, _, rc) in enumerate(decorated):
-        base = tuple(c - v for c, v in zip(b, rc.vertex))
-        for a in sys_.support(rc.poly):
-            col = tuple(c + x for c, x in zip(base, a))
-            ci = index.get(col)
-            if ci is None:
-                raise NotClosed(b, col)
-            entries[(ri, ci)] = CoeffRef(rc.poly, a)
+    # one CoeffRef per support point, shared by every row of its polynomial
+    supports = [list(sys_.support(i)) for i in range(n + 1)]
+    labels = [[CoeffRef(i, a) for a in supp] for i, supp in enumerate(supports)]
+    rows = []
+    for b, _, _, (poly, vertex) in decorated:
+        base = tuple(map(sub, b, vertex))
+        cols = [tuple(map(add, base, a)) for a in supports[poly]]
+        found = list(map(index.get, cols))
+        if None in found:
+            raise NotClosed(b, cols[found.index(None)])
+        rows.append(tuple(sorted(zip(found, labels[poly]), key=itemgetter(0))))
 
     return SymbolicMatrix(
         n=n,
         points=ordered,
-        entries=entries,
+        rows=tuple(rows),
         mixed_flags=tuple(d[1] for d in decorated),
         greedy_flags=tuple(d[2] for d in decorated),
         row_contents=tuple(d[3] for d in decorated),
@@ -126,20 +132,20 @@ def build_matrix(
 def principal_submatrix(m: SymbolicMatrix) -> SymbolicMatrix:
     """Restrict to the non-mixed rows and columns, preserving order.
 
-    Entries whose column is mixed are dropped; this is a pure restriction,
-    so applying it twice returns the same matrix.
+    Mixed rows are dropped, and each kept row loses its pairs in mixed
+    columns while the remaining columns are renumbered; this is a pure
+    restriction, so applying it twice returns the same matrix.
     """
     keep = [i for i, mixed in enumerate(m.mixed_flags) if not mixed]
     remap = {old: new for new, old in enumerate(keep)}
-    entries = {
-        (remap[r], remap[c]): ref
-        for (r, c), ref in m.entries.items()
-        if r in remap and c in remap
-    }
+    rows = tuple(
+        tuple([(remap[c], ref) for c, ref in m.rows[r] if c in remap])
+        for r in keep
+    )
     return SymbolicMatrix(
         n=m.n,
         points=tuple(m.points[i] for i in keep),
-        entries=entries,
+        rows=rows,
         mixed_flags=tuple(False for _ in keep),
         greedy_flags=tuple(m.greedy_flags[i] for i in keep),
         row_contents=tuple(m.row_contents[i] for i in keep),
@@ -147,39 +153,39 @@ def principal_submatrix(m: SymbolicMatrix) -> SymbolicMatrix:
 
 
 def _coords(p: Sequence[int]) -> str:
-    return ",".join(str(c) for c in p)
+    return ",".join(map(str, p))
 
 
 def export_matrix(m: SymbolicMatrix, format: str) -> bytes:
     """Serialize deterministically to UTF-8 text.
 
     triplets: one line per entry, `row ; col ; poly ; support`, points as
-    comma-joined coordinates.  dense: one line per row of space-separated
-    tokens u[i][a_1,...,a_n] and 0.  An empty matrix exports its header
-    section only, with n=0.
+    comma-joined coordinates, rows in order and columns increasing.  dense:
+    one line per row of space-separated tokens u[i][a_1,...,a_n] and 0.  An
+    empty matrix exports its header section only, with n=0.
     """
     if format not in ("triplets", "dense"):
         raise UnsupportedFormat(f"unknown export format {format!r}")
-    lines = [
-        f"# n={m.n if m.size else 0}",
-        f"# rows={m.size}",
-        "# order=greedy-first-lex",
+    # one encoded chunk per row, so no full-size str is held beside the bytes
+    chunks = [
+        f"# n={m.n if m.size else 0}\n# rows={m.size}\n"
+        "# order=greedy-first-lex".encode()
     ]
+    refs = {ref for row in m.rows for _, ref in row}
     if format == "triplets":
-        for (r, c) in sorted(m.entries):
-            ref = m.entries[(r, c)]
-            lines.append(
-                f"{_coords(m.points[r])} ; {_coords(m.points[c])} ; "
-                f"{ref.poly} ; {_coords(ref.support)}"
-            )
+        coords = [_coords(p) for p in m.points]
+        tail = {ref: f" ; {ref.poly} ; {_coords(ref.support)}" for ref in refs}
+        for r, row in enumerate(m.rows):
+            head = coords[r] + " ; "
+            if row:
+                text = "\n".join([head + coords[c] + tail[ref] for c, ref in row])
+                chunks.append(text.encode())
     else:
-        for r in range(m.size):
-            tokens = []
-            for c in range(m.size):
-                ref = m.entries.get((r, c))
-                if ref is None:
-                    tokens.append("0")
-                else:
-                    tokens.append(f"u[{ref.poly}][{_coords(ref.support)}]")
-            lines.append(" ".join(tokens))
-    return ("\n".join(lines) + "\n").encode("utf-8")
+        token = {ref: f"u[{ref.poly}][{_coords(ref.support)}]" for ref in refs}
+        for row in m.rows:
+            tokens = ["0"] * m.size
+            for c, ref in row:
+                tokens[c] = token[ref]
+            chunks.append(" ".join(tokens).encode())
+    chunks.append(b"")
+    return b"\n".join(chunks)

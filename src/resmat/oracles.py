@@ -262,10 +262,10 @@ def specialize(
     m: SymbolicMatrix, coeffs: dict[CoeffRef, int], p: int
 ) -> list[list[int]]:
     """Dense numeric rows of a symbolic matrix under a coefficient draw."""
-    size = m.size
-    dense = [[0] * size for _ in range(size)]
-    for (r, c), ref in m.entries.items():
-        dense[r][c] = coeffs[ref] % p
+    dense = [[0] * m.size for _ in range(m.size)]
+    for out, row in zip(dense, m.rows):
+        for c, ref in row:
+            out[c] = coeffs[ref] % p
     return dense
 
 
@@ -273,12 +273,8 @@ def specialize_rows(
     m: SymbolicMatrix, coeffs: dict[CoeffRef, int], p: int
 ) -> list[dict[int, int]]:
     """Sparse numeric rows, {column: value} for the nonzero entries."""
-    rows: list[dict[int, int]] = [{} for _ in range(m.size)]
-    for (r, c), ref in m.entries.items():
-        v = coeffs[ref] % p
-        if v:
-            rows[r][c] = v
-    return rows
+    values = {ref: v % p for ref, v in coeffs.items()}
+    return [{c: v for c, ref in row if (v := values[ref])} for row in m.rows]
 
 
 def draw_coefficients(

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -186,6 +187,47 @@ class TestMatrixCommand:
         assert code == 4
 
 
+# SHA-256 of `resmat matrix` stdout, one per spec and variant.
+MATRIX_VARIANTS = {
+    "greedy": [],
+    "principal": ["--principal"],
+    "full": ["--full"],
+    "dense": ["--format", "dense"],
+}
+MATRIX_SHA256 = {
+    ("zonotope_n2_unit", "greedy"): "d52431fc408582686e59be70b96d402cd56f942136d1cb0d18d8b5fb8a8a1638",
+    ("zonotope_n2_unit", "principal"): "3be3e3a1739c643363c3ec2c33916ad6bbf96a955a2facd9bde3d61b94ddb332",
+    ("zonotope_n2_unit", "full"): "3a5b32a3f456b668ee2aaab6488cf8050c9a6ec0edff5bc82512b2160ac6d7dd",
+    ("zonotope_n2_unit", "dense"): "afef8b21a798e746ee0100d22166f4f9d316192421b1ac6e675abcee359fa3f3",
+    ("multihomo_221", "greedy"): "bc430475e912fa0c720fb85883391f738b234e0d18bd400ca087a9f88ca98db8",
+    ("multihomo_221", "principal"): "11de661a6545d04a8d54389442d78594676e5689fa6a3d20bad9596ddc829dfd",
+    ("multihomo_221", "full"): "eab7a07a7edf1586476daafe6c76ff14b750cae4051a787fb8d6f2540a9c9e35",
+    ("multihomo_221", "dense"): "3504cdcdc8d7fa83132554433ad560781dd6baef9d151afb2d499eaa12d70373",
+    ("box222", "greedy"): "441f1dcb7c4c3f65ac0627cd564936e9e628273649bc5875c4a4a3bf3d98785c",
+    ("box222", "principal"): "2b2064e514f21a646acf7b44f52caa4bc8531f5bf5935897cf9d72e20b1da3a1",
+    ("box222", "full"): "f50ae0cea75a1eb5d6cd20c99a36693b9b2859b2f9b9b91ae944925457cbe96d",
+    ("box222", "dense"): "ff8da53bb940b2602d2bf2800307bc5ccdbcba9d42a5d3651528a9b03fe962f5",
+}
+
+
+class TestMatrixBytes:
+    @pytest.mark.parametrize("spec, variant", sorted(MATRIX_SHA256))
+    def test_pinned_sha256(self, spec, variant, tmp_path, capsysbinary):
+        if spec == "box222":
+            path = write_spec(tmp_path, "box222.json", SIZES_REPORTS["box222"][0])
+        else:
+            path = str(SPECS / f"{spec}.json")
+        assert cli.main(["matrix", path, *MATRIX_VARIANTS[variant]]) == 0
+        captured = capsysbinary.readouterr()
+        assert captured.err == b""
+        digest = hashlib.sha256(captured.out).hexdigest()
+        assert digest == MATRIX_SHA256[(spec, variant)]
+
+    def test_every_spec_is_pinned(self):
+        pinned = {spec for spec, _ in MATRIX_SHA256}
+        assert {p.stem for p in SPECS.glob("*.json")} <= pinned
+
+
 class TestVerifyCommand:
     def test_unit_passes(self, capsys):
         code = cli.main(["verify", UNIT2_SPEC, "--trials", "5"])
@@ -196,6 +238,7 @@ class TestVerifyCommand:
         assert "result: PASS" in out
         summary = json.loads(out.rsplit("SUMMARY ", 1)[1])
         assert summary["ok"] is True
+        assert (summary["b_size"], summary["greedy_size"]) == (9, 8)
         assert summary["quotient"]["passes"]["d"] == 5
 
     def test_multihomo_passes(self, capsys):

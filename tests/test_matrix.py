@@ -1,16 +1,23 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from resmat import (
     CoeffRef,
+    MultiHomoSystem,
     NotClosed,
     UnsupportedFormat,
     build_matrix,
+    column_support,
+    column_support_multi,
     export_matrix,
     greedy_closure,
     greedy_closure_multi,
     lattice_points,
     lattice_points_multi,
     principal_submatrix,
+    row_content_multi,
+    row_content_of,
     validate_multihomo,
     validate_zonotope,
 )
@@ -38,7 +45,7 @@ class TestBuildMatrix:
     def test_pinned_row_entries(self):
         m = greedy_matrix(UNIT2)
         ri = m.points.index((0, 1))
-        entries = {m.points[c]: ref for c, ref in m.row_entries(ri)}
+        entries = {m.points[c]: ref for c, ref in m.rows[ri]}
         assert entries == {
             (0, 1): CoeffRef(2, (0, 0)),
             (1, 1): CoeffRef(2, (1, 0)),
@@ -49,19 +56,19 @@ class TestBuildMatrix:
     def test_diagonal_is_content_label(self):
         for m in (greedy_matrix(UNIT2), greedy_matrix(TRI)):
             for r, rc in enumerate(m.row_contents):
-                assert m.entry(r, r) == CoeffRef(rc.poly, rc.vertex)
+                assert dict(m.rows[r])[r] == CoeffRef(rc.poly, rc.vertex)
 
     def test_row_touches_single_polynomial(self):
         m = build_matrix(list(lattice_points(UNIT3)), UNIT3)
         for r in range(m.size):
-            polys = {ref.poly for _, ref in m.row_entries(r)}
+            polys = {ref.poly for _, ref in m.rows[r]}
             assert polys == {m.row_contents[r].poly}
 
     def test_row_entry_count_is_support_size(self):
         m = greedy_matrix(UNIT3)
         for r in range(m.size):
             expected = UNIT3.support_size(m.row_contents[r].poly)
-            assert len(m.row_entries(r)) == expected
+            assert len(m.rows[r]) == expected
 
     def test_point_order_greedy_mixed_first(self):
         m = build_matrix(list(lattice_points(UNIT2)), UNIT2)
@@ -98,11 +105,96 @@ class TestBuildMatrix:
         m = build_matrix(list(lattice_points(UNIT2)), UNIT2, reflected=True)
         assert m.size == 9
         for r, rc in enumerate(m.row_contents):
-            assert m.entry(r, r) == CoeffRef(rc.poly, rc.vertex)
+            assert dict(m.rows[r])[r] == CoeffRef(rc.poly, rc.vertex)
 
     def test_reflected_rejected_for_multihomo(self):
         with pytest.raises(ValueError):
             build_matrix(list(lattice_points_multi(TRI)), TRI, reflected=True)
+
+
+@st.composite
+def ordered_boxes(draw):
+    n = draw(st.integers(1, 3))
+    cols = []
+    for _ in range(n):
+        col = draw(st.lists(st.integers(1, 3), min_size=n + 1, max_size=n + 1))
+        cols.append(sorted(col[:n]) + col[n:])
+    return validate_zonotope(list(zip(*cols)))
+
+
+@st.composite
+def ordered_multihomo(draw):
+    sizes = draw(st.sampled_from([(1,), (2,), (3,), (1, 1), (1, 2), (2, 1)]))
+    n = sum(sizes)
+    cols = []
+    for _ in sizes:
+        col = draw(st.lists(st.integers(1, 2), min_size=n + 1, max_size=n + 1))
+        cols.append(sorted(col[:n]) + col[n:])
+    return validate_multihomo(sizes, list(zip(*cols)))
+
+
+def expected_rows(m, sys_, reflected=False):
+    """Each row as a set of (column index, label), from the per-point functions."""
+    index = {b: i for i, b in enumerate(m.points)}
+    out = []
+    for b in m.points:
+        if isinstance(sys_, MultiHomoSystem):
+            poly = row_content_multi(b, sys_).poly
+            cols = column_support_multi(b, sys_)
+        else:
+            poly = row_content_of(b, sys_, reflected=reflected).poly
+            cols = column_support(b, sys_, reflected=reflected)
+        out.append({
+            (index[col], CoeffRef(poly, a))
+            for col, a in zip(cols, sys_.support(poly))
+        })
+    return out
+
+
+def check_rows(m, sys_, reflected=False):
+    assert [set(row) for row in m.rows] == expected_rows(m, sys_, reflected)
+    for row in m.rows:
+        cols = [c for c, _ in row]
+        assert all(a < b for a, b in zip(cols, cols[1:]))
+    assert len(m.entries) == sum(len(row) for row in m.rows)
+    e = principal_submatrix(m)
+    assert principal_submatrix(e) == e
+
+
+class TestRowsMatchColumnSupport:
+    @settings(max_examples=25, deadline=None)
+    @given(ordered_boxes())
+    def test_ordered_boxes(self, sys_):
+        full_points = list(lattice_points(sys_))
+        check_rows(build_matrix(list(greedy_closure(sys_)), sys_), sys_)
+        check_rows(build_matrix(full_points, sys_), sys_)
+        refl = build_matrix(full_points, sys_, reflected=True)
+        check_rows(refl, sys_, reflected=True)
+
+    @settings(max_examples=25, deadline=None)
+    @given(ordered_multihomo())
+    def test_ordered_multihomogeneous(self, sys_):
+        check_rows(build_matrix(list(greedy_closure_multi(sys_)), sys_), sys_)
+        check_rows(build_matrix(list(lattice_points_multi(sys_)), sys_), sys_)
+
+
+class TestEntriesView:
+    def test_view_matches_rows(self):
+        m = greedy_matrix(UNIT2)
+        view = m.entries
+        assert len(view) == 32
+        assert list(view) == [(r, c) for r, row in enumerate(m.rows) for c, _ in row]
+        for (r, c), ref in view.items():
+            assert (c, ref) in m.rows[r]
+            assert view[(r, c)] is ref
+
+    def test_missing_entry(self):
+        view = greedy_matrix(UNIT2).entries
+        zero = next((r, c) for r in range(8) for c in range(8) if (r, c) not in view)
+        assert view.get(zero) is None
+        for key in (zero, (-1, 0), (8, 0)):
+            with pytest.raises(KeyError):
+                view[key]
 
 
 class TestPrincipalSubmatrix:
@@ -110,8 +202,10 @@ class TestPrincipalSubmatrix:
         e = principal_submatrix(greedy_matrix(UNIT2))
         assert e.size == 2
         assert e.points == ((1, 1), (2, 2))
-        assert e.entry(0, 0) == CoeffRef(2, (0, 0))
-        assert e.entry(1, 1) == CoeffRef(1, (1, 1))
+        assert e.rows == (
+            ((0, CoeffRef(2, (0, 0))), (1, CoeffRef(2, (1, 1)))),
+            ((0, CoeffRef(1, (0, 0))), (1, CoeffRef(1, (1, 1)))),
+        )
 
     def test_univariate_principal_is_empty(self):
         for bounds in ([[1], [1]], [[2], [3]]):
@@ -128,7 +222,7 @@ class TestPrincipalSubmatrix:
         e = principal_submatrix(m)
         again = principal_submatrix(e)
         assert again.points == e.points
-        assert again.entries == e.entries
+        assert again.rows == e.rows
 
     def test_no_mixed_rows(self):
         e = principal_submatrix(greedy_matrix(UNIT3))
