@@ -43,12 +43,12 @@ from .multihomo import (
 )
 from .oracles import (
     DEFAULT_PRIME,
-    _quotient_checks,
     _require_prime,
     draw_coefficients,
     mixed_volume,
     sparse_det,
     specialize_rows,
+    verify_quotient,
 )
 from .subdivision import lattice_points, type_function_of
 from .systems import (
@@ -381,8 +381,9 @@ def cmd_verify(sys_, args) -> int:
 
     quotient = None
     if gated:
-        quotient = _quotient_checks(
-            sys_, full, closure, args.prime, args.trials, args.seed
+        quotient = verify_quotient(
+            sys_, args.prime, args.trials, args.seed,
+            h_full=full, greedy_points=closure,
         )
         print(quotient.text())
     else:

@@ -23,9 +23,11 @@ from itertools import accumulate, combinations_with_replacement, permutations, p
 from operator import add, ge, getitem, le, mul, or_
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .errors import InvariantViolated, PointOutOfRange
+from .errors import PointOutOfRange
 from .subdivision import column_support, is_mixed, lattice_points, type_function_of
-from .systems import Point, RowContent, TypeFunction, ZonotopeSystem, type_vector_of
+from .systems import (
+    CoeffRef, Point, RowContent, TypeFunction, ZonotopeSystem, type_vector_of
+)
 
 # (phi, type vector, point count, mixed, greedy, row content) of one cell
 CellRow = tuple[TypeFunction, tuple[int, ...], int, bool, bool, RowContent]
@@ -48,8 +50,9 @@ class KeyedWindow:
     Point w has key sum_k w_k * strides[k]: key order is lexicographic, and
     a column of row w is key - vertex key + the key of a support image.
     group_sizes splits the axes into blocks with one bound per polynomial
-    (default: size 1); from_window and vertex_preimage map window points
-    and cell vertices back to the caller's coordinates (default: as is).
+    (default: size 1).  to_window maps the caller's points into the window,
+    from_window maps them back, and preimage(i, v) maps a vertex or support
+    image v of polynomial i to the caller's coordinates (default: as is).
     """
 
     def __init__(
@@ -57,12 +60,14 @@ class KeyedWindow:
         zsys: ZonotopeSystem,
         group_sizes: Sequence[int] | None = None,
         from_window: Callable[[Sequence[int]], Point] = tuple,
-        vertex_preimage: Callable[[Sequence[int]], Point] = tuple,
+        preimage: Callable[[int, Sequence[int]], Point] = lambda i, v: tuple(v),
+        to_window: Callable[[Sequence[int]], Sequence[int]] = tuple,
     ):
         n = zsys.n
         self.zsys = zsys
         self.from_window = from_window
-        self.vertex_preimage = vertex_preimage
+        self.preimage = preimage
+        self.to_window = to_window
         self.totals = zsys.column_totals
         self.strides = tuple(math.prod(self.totals[k + 1 :]) for k in range(n))
         sizes = tuple(group_sizes or (1,) * n)
@@ -71,11 +76,15 @@ class KeyedWindow:
         self.heads = tuple(a for a, b in self.blocks for _ in range(a, b))
         # coordinates k whose predecessor k - 1 lies in the same block
         self.steps = tuple(k for k in range(1, n) if self.heads[k] < k)
-        # per axis and coordinate value, 1 << (type of that value)
+        # per axis, coordinate value -> 1 << (type of that value)
         self.type_bits = tuple(
-            tuple(1 << i for i, row in enumerate(zsys.bounds) for _ in range(row[k]))
-            for k in range(n)
+            dict(enumerate(1 << i for i, a in enumerate(col) for _ in range(a)))
+            for col in zip(*zsys.bounds)
         )
+        self._full = (1 << (n + 1)) - 1
+        self._lows = [tuple(p[i] for p in zsys.column_prefixes) for i in range(n + 1)]
+        self._records: dict[tuple, tuple] = {}
+        self._labels: dict[CoeffRef, CoeffRef] = {}
 
     def key(self, w: Sequence[int]) -> int:
         return sum(map(mul, w, self.strides))
@@ -96,25 +105,47 @@ class KeyedWindow:
                     *(range(p[v], p[v + 1]) for p, v in zip(prefixes, phi))
                 )
 
+    def record(self, w: Sequence[int]) -> tuple:
+        """The record shared by every row with w's polynomial and vertex."""
+        used = reduce(or_, map(getitem, self.type_bits, w))
+        # the largest type whose count is zero, so no coordinate has type i
+        i = (self._full & ~used).bit_length() - 1
+        above = tuple(map(ge, w, self._lows[i]))
+        rec = self._records.get((i, above))
+        if rec is None:
+            rec = self._records[i, above] = self._record(i, above)
+        return rec
+
     def _record(self, i: int, above: tuple[bool, ...]) -> tuple:
-        """Shared data of every row with polynomial i and these vertex sides."""
+        """Content, column deltas, their labels, vertex, hi and steps of a row."""
         bounds = self.zsys.bounds[i]
         vertex = [a if up else 0 for a, up in zip(bounds, above)]
-        rc = RowContent(i, self.vertex_preimage(vertex))
+        rc = RowContent(i, self.preimage(i, vertex))
         # support images: per block, nondecreasing sequences in [0, bound]
-        images = [
-            [sum(map(mul, d, self.strides[a:b]))
-             for d in combinations_with_replacement(range(bounds[a] + 1), b - a)]
+        blocks = [
+            combinations_with_replacement(range(bounds[a] + 1), b - a)
             for a, b in self.blocks
         ]
+        images = [sum(parts, ()) for parts in product(*blocks)]
+        # one CoeffRef per support point, shared by every record
+        refs = (CoeffRef(i, self.preimage(i, img)) for img in images)
+        labels = [self._labels.setdefault(ref, ref) for ref in refs]
         # columns w - vertex + image stay in the window and strictly increase
         # inside blocks iff vertex <= w <= hi and w steps by at least `need`
         hi = [t - 1 - bounds[h] + v for t, h, v in zip(self.totals, self.heads, vertex)]
         steps = [(k, 1 + vertex[k] - vertex[k - 1]) for k in self.steps]
         # column keys relative to the row key: support image minus vertex
         voff = self.key(vertex)
-        deltas = [sum(c) - voff for c in product(*images)]
-        return rc, deltas, vertex, hi, steps
+        deltas = [self.key(img) - voff for img in images]
+        return rc, deltas, labels, vertex, hi, steps
+
+    @staticmethod
+    def fits(w: Sequence[int], rec: tuple) -> bool:
+        """Whether every column key of row w is the key of a window point."""
+        _, _, _, vertex, hi, steps = rec
+        return all(map(le, vertex, w)) and all(map(le, w, hi)) and all(
+            w[k] - w[k - 1] >= need for k, need in steps
+        )
 
     def closure(self) -> dict[Point, RowContent]:
         """Close the mixed points under column supports.
@@ -123,36 +154,20 @@ class KeyedWindow:
         order.  Rows share one record per (polynomial, vertex); a row whose
         column set leaves the window raises PointOutOfRange.
         """
-        n = self.zsys.n
-        full = (1 << (n + 1)) - 1
-        lows = [tuple(p[i] for p in self.zsys.column_prefixes) for i in range(n + 1)]
-        coords, type_bits = self.coords, self.type_bits
-        records: dict[tuple, tuple] = {}
+        coords, record, fits = self.coords, self.record, self.fits
         rows: dict[int, RowContent] = {}
         seen = set(map(self.key, self.mixed_window_points()))
         todo = list(seen)
         while todo:
             key = todo.pop()
             w = coords(key)
-            used = reduce(or_, map(getitem, type_bits, w))
-            # the largest type whose count is zero
-            i = (full & ~used).bit_length() - 1
-            # as in row_content_of: no coordinate may have that type
-            if used >> i & 1:
-                raise InvariantViolated("type count of the content index must be zero")
-            above = tuple(map(ge, w, lows[i]))
-            rec = records.get((i, above))
-            if rec is None:
-                rec = records[i, above] = self._record(i, above)
-            rc, deltas, vertex, hi, steps = rec
-            if not (all(map(le, vertex, w)) and all(map(le, w, hi)) and all(
-                w[k] - w[k - 1] >= need for k, need in steps
-            )):
+            rec = record(w)
+            if not fits(w, rec):
                 raise PointOutOfRange(
                     f"column support of row {self.from_window(w)} leaves the window"
                 )
-            rows[key] = rc
-            cols = [c for d in deltas if (c := key + d) not in seen]
+            rows[key] = rec[0]
+            cols = [c for d in rec[1] if (c := key + d) not in seen]
             seen.update(cols)
             todo.extend(cols)
         return {self.from_window(coords(k)): rows[k] for k in sorted(rows)}
@@ -208,7 +223,7 @@ class KeyedWindow:
             )
             i = max(k for k, c in enumerate(t) if c == 0)
             vertex = [0 if v < i else a for v, a in zip(phi, self.zsys.bounds[i])]
-            rc = RowContent(i, self.vertex_preimage(vertex))
+            rc = RowContent(i, self.preimage(i, vertex))
             out.append((phi, t, count, is_mixed(t), is_greedy(t), rc))
         return out
 

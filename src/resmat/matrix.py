@@ -14,16 +14,17 @@ columns), which the verification suite exploits.
 
 from __future__ import annotations
 
+import functools
+import gc
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import partial
-from operator import add, itemgetter, sub
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .errors import NotClosed, UnsupportedFormat
 from .greedy import is_greedy
-from .multihomo import row_content_multi, type_function_multi
-from .subdivision import is_mixed, row_content_of, type_function_of
+from .multihomo import column_support_multi, keyed_window
+from .subdivision import column_support, is_mixed
 from .systems import (
     CoeffRef,
     MultiHomoSystem,
@@ -79,6 +80,23 @@ class SymbolicMatrix:
         return _Entries(self.rows)
 
 
+def _gc_paused(fn):
+    """Run fn with the cyclic collector off: its row tuples hold no cycles."""
+
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+
+    return paused
+
+
+@_gc_paused
 def build_matrix(
     points: Iterable[Point],
     sys_: ZonotopeSystem | MultiHomoSystem,
@@ -87,48 +105,54 @@ def build_matrix(
     """Assemble the symbolic matrix over a point set closed under columns.
 
     The set must contain every column point generated by its rows; the
-    first missing one aborts the build with a NotClosed witness pair.
+    first missing one aborts the build with a NotClosed witness pair.  Every
+    system kind and orientation runs on its keyed_window: each cell is
+    classified once, and a row's columns are its key plus its record's deltas.
     """
-    if isinstance(sys_, MultiHomoSystem):
-        if reflected:
-            raise ValueError("reflected orientation applies to box systems only")
-        typefn, content = type_function_multi, row_content_multi
-    else:
-        typefn = partial(type_function_of, reflected=reflected)
-        content = partial(row_content_of, reflected=reflected)
-
-    n = sys_.n
-    decorated = []
+    window = keyed_window(sys_, reflected)
+    n, tables = sys_.n, window.type_bits
+    cells: dict[tuple[int, ...], tuple] = {}
+    # greedy-mixed, then greedy, then the rest (a mixed point is greedy);
+    # points arrive sorted, so each class is in lexicographic order
+    classes: tuple[list, ...] = ([], [], [])
     for b in sorted(set(map(tuple, points))):
-        t = type_vector_of(typefn(b, sys_), n)
-        decorated.append((b, is_mixed(t), is_greedy(t), content(b, sys_)))
-    # greedy-mixed, then greedy, then the rest (a mixed point is greedy)
-    decorated.sort(key=lambda d: (not d[2], not d[1], d[0]))
-
-    ordered = tuple(d[0] for d in decorated)
-    index = {b: i for i, b in enumerate(ordered)}
-    # one CoeffRef per support point, shared by every row of its polynomial
-    supports = [list(sys_.support(i)) for i in range(n + 1)]
-    labels = [[CoeffRef(i, a) for a in supp] for i, supp in enumerate(supports)]
+        w = window.to_window(b)
+        cell = tuple(map(dict.get, tables, w))
+        if len(b) != n or None in cell:
+            raise _per_point_error(b, sys_, reflected, ())
+        if (info := cells.get(cell)) is None:
+            t = type_vector_of([bit.bit_length() - 1 for bit in cell], n)
+            info = cells[cell] = (is_mixed(t), is_greedy(t), window.record(w))
+        classes[0 if info[0] else 2 - info[1]].append((b, w, info))
+    ordered = classes[0] + classes[1] + classes[2]
+    pos = {window.key(w): r for r, (_, w, _) in enumerate(ordered)}
     rows = []
-    for b, _, _, (poly, vertex) in decorated:
-        base = tuple(map(sub, b, vertex))
-        cols = [tuple(map(add, base, a)) for a in supports[poly]]
-        found = list(map(index.get, cols))
-        if None in found:
-            raise NotClosed(b, cols[found.index(None)])
-        rows.append(tuple(sorted(zip(found, labels[poly]), key=itemgetter(0))))
+    for key, (b, w, (_, _, rec)) in zip(pos, ordered):
+        found = list(map(pos.get, map(key.__add__, rec[1])))
+        if not window.fits(w, rec) or None in found:
+            raise _per_point_error(b, sys_, reflected, {d[0] for d in ordered})
+        rows.append(tuple(sorted(zip(found, rec[2]), key=itemgetter(0))))
 
     return SymbolicMatrix(
         n=n,
-        points=ordered,
+        points=tuple(d[0] for d in ordered),
         rows=tuple(rows),
-        mixed_flags=tuple(d[1] for d in decorated),
-        greedy_flags=tuple(d[2] for d in decorated),
-        row_contents=tuple(d[3] for d in decorated),
+        mixed_flags=tuple(d[2][0] for d in ordered),
+        greedy_flags=tuple(d[2][1] for d in ordered),
+        row_contents=tuple(d[2][2][0] for d in ordered),
     )
 
 
+def _per_point_error(b: Point, sys_, reflected: bool, present) -> NotClosed:
+    """NotClosed(b, first column missing from present), or the error of b."""
+    if isinstance(sys_, MultiHomoSystem):
+        cols = column_support_multi(b, sys_)
+    else:
+        cols = column_support(b, sys_, reflected=reflected)
+    return NotClosed(b, next(c for c in cols if c not in present))
+
+
+@_gc_paused
 def principal_submatrix(m: SymbolicMatrix) -> SymbolicMatrix:
     """Restrict to the non-mixed rows and columns, preserving order.
 

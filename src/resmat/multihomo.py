@@ -23,13 +23,14 @@ every block.  No separate simplex subdivision code exists.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import accumulate, product
+from operator import sub
 from typing import Iterator, Sequence
 
 from .errors import BadShape, InvariantViolated, PointOutOfRange
 from .greedy import CellRow, KeyedWindow, no_escape
-from .subdivision import row_content_of, type_function_of
+from .subdivision import reflect_point, row_content_of, type_function_of
 from .systems import (
     MultiHomoSystem,
     Point,
@@ -174,12 +175,25 @@ def column_support_multi(
         yield tuple(c + x for c, x in zip(base, a))
 
 
-def keyed_window(sys_: ZonotopeSystem | MultiHomoSystem) -> KeyedWindow:
+def keyed_window(
+    sys_: ZonotopeSystem | MultiHomoSystem, reflected: bool = False
+) -> KeyedWindow:
     """Integer-keyed window of a box system or of an embedded grouped system."""
-    if not isinstance(sys_, MultiHomoSystem):
+    if isinstance(sys_, MultiHomoSystem):
+        if reflected:
+            raise ValueError("reflected orientation applies to box systems only")
+        zsys, emb = embed(sys_)
+        pre = emb.vertex_preimage
+        return KeyedWindow(
+            zsys, sys_.group_sizes, emb.from_window, lambda i, v: pre(v), emb.to_window
+        )
+    if not reflected:
         return KeyedWindow(sys_)
-    zsys, emb = embed(sys_)
-    return KeyedWindow(zsys, sys_.group_sizes, emb.from_window, emb.vertex_preimage)
+    # as subdivision's reflected=True: b -> total - 1 - b, and a -> a_i - a back
+    flip = partial(reflect_point, sys_=sys_)
+    return KeyedWindow(
+        sys_, None, flip, lambda i, v: tuple(map(sub, sys_.bounds[i], v)), flip
+    )
 
 
 def greedy_closure_multi(sys_: MultiHomoSystem) -> dict[Point, RowContent]:

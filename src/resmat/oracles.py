@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import BadShape, NotPrime, ResmatError
@@ -371,20 +371,7 @@ class QuotientReport:
         return "\n".join(lines)
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "n": self.n,
-            "p": self.p,
-            "trials": self.trials,
-            "seed": self.seed,
-            "sizes": dict(self.sizes),
-            "passes": dict(self.passes),
-            "failures": list(self.failures),
-            "singular": list(self.singular),
-            "skipped": dict(self.skipped),
-            "e_sign": self.e_sign,
-            "ok": self.ok,
-        }
+        return {**asdict(self), "ok": self.ok}
 
 
 def verify_quotient(
@@ -392,36 +379,26 @@ def verify_quotient(
     p: int = DEFAULT_PRIME,
     trials: int = 50,
     seed: int = 0,
+    *,
+    h_full: SymbolicMatrix | None = None,
+    greedy_points: Iterable[Point] | None = None,
 ) -> QuotientReport:
     """Randomized identity testing of the determinant-quotient formula.
 
     Per trial, every coefficient label gets a fresh uniform value mod p and
     the checks listed on QuotientReport run.  Draws are deterministic in
     (seed, trial, attempt), so failures are reproducible from the report.
+    Pass h_full and greedy_points when they are built already.
     """
     _require_prime(p)
     if trials < 1:
         raise ResmatError(f"trials must be at least 1, got {trials}")
-    if isinstance(sys_, MultiHomoSystem):
-        full_points = lattice_points_multi(sys_)
-        greedy_points = greedy_closure_multi(sys_)
-    else:
-        full_points = lattice_points(sys_)
-        greedy_points = greedy_closure(sys_)
-    h_full = build_matrix(full_points, sys_)
-    return _quotient_checks(sys_, h_full, greedy_points, p, trials, seed)
-
-
-def _quotient_checks(
-    sys_: ZonotopeSystem | MultiHomoSystem,
-    h_full: SymbolicMatrix,
-    greedy_points: Iterable[Point],
-    p: int,
-    trials: int,
-    seed: int,
-) -> QuotientReport:
-    """verify_quotient on an already built full matrix and greedy point set."""
     multi = isinstance(sys_, MultiHomoSystem)
+    if h_full is None:
+        full = lattice_points_multi(sys_) if multi else lattice_points(sys_)
+        h_full = build_matrix(full, sys_)
+    if greedy_points is None:
+        greedy_points = greedy_closure_multi(sys_) if multi else greedy_closure(sys_)
     e_full = principal_submatrix(h_full)
     h_greedy = build_matrix(greedy_points, sys_)
     e_greedy = principal_submatrix(h_greedy)

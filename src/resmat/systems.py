@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import accumulate, product
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import (
@@ -68,13 +68,7 @@ class ZonotopeSystem:
         Entry i and i+1 delimit the half-open interval of points whose type
         at coordinate j is i.
         """
-        out = []
-        for col in zip(*self.bounds):
-            acc = [0]
-            for a in col:
-                acc.append(acc[-1] + a)
-            out.append(tuple(acc))
-        return tuple(out)
+        return tuple(tuple(accumulate(col, initial=0)) for col in zip(*self.bounds))
 
     def lattice_size(self) -> int:
         """Number of points in the half-open window, prod_j sum_i a_ij."""

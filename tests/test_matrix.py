@@ -1,11 +1,18 @@
+import gc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import resmat.matrix
+import resmat.multihomo
+import resmat.subdivision
 from resmat import (
+    BadShape,
     CoeffRef,
     MultiHomoSystem,
     NotClosed,
+    PointOutOfRange,
     UnsupportedFormat,
     build_matrix,
     column_support,
@@ -13,11 +20,16 @@ from resmat import (
     export_matrix,
     greedy_closure,
     greedy_closure_multi,
+    is_greedy,
+    is_mixed,
     lattice_points,
     lattice_points_multi,
     principal_submatrix,
     row_content_multi,
     row_content_of,
+    type_function_multi,
+    type_function_of,
+    type_vector_of,
     validate_multihomo,
     validate_zonotope,
 )
@@ -151,8 +163,38 @@ def expected_rows(m, sys_, reflected=False):
     return out
 
 
-def check_rows(m, sys_, reflected=False):
+def classify(b, sys_, reflected=False):
+    """(mixed, greedy, row content) of b from the per-point classifiers."""
+    if isinstance(sys_, MultiHomoSystem):
+        phi, rc = type_function_multi(b, sys_), row_content_multi(b, sys_)
+    else:
+        phi = type_function_of(b, sys_, reflected=reflected)
+        rc = row_content_of(b, sys_, reflected=reflected)
+    t = type_vector_of(phi, sys_.n)
+    return is_mixed(t), is_greedy(t), rc
+
+
+def expected_order(points, sys_, reflected=False):
+    """Greedy-mixed, then greedy, then the rest, lexicographic in each class."""
+    def rank(b):
+        mixed, greedy, _ = classify(b, sys_, reflected)
+        return (not greedy, not mixed, b)
+
+    return sorted(set(map(tuple, points)), key=rank)
+
+
+def check_rows(points, sys_, reflected=False):
+    """Build the matrix over points and check it against the per-point route."""
+    m = build_matrix(points, sys_, reflected)
+    assert list(m.points) == expected_order(points, sys_, reflected)
+    mixed, greedy, contents = zip(*(classify(b, sys_, reflected) for b in m.points))
+    assert m.mixed_flags == mixed
+    assert m.greedy_flags == greedy
+    assert m.row_contents == contents
     assert [set(row) for row in m.rows] == expected_rows(m, sys_, reflected)
+    # one CoeffRef object per label, shared by every row that carries it
+    refs = [ref for row in m.rows for _, ref in row]
+    assert len(set(map(id, refs))) == len(set(refs))
     for row in m.rows:
         cols = [c for c, _ in row]
         assert all(a < b for a, b in zip(cols, cols[1:]))
@@ -166,16 +208,158 @@ class TestRowsMatchColumnSupport:
     @given(ordered_boxes())
     def test_ordered_boxes(self, sys_):
         full_points = list(lattice_points(sys_))
-        check_rows(build_matrix(list(greedy_closure(sys_)), sys_), sys_)
-        check_rows(build_matrix(full_points, sys_), sys_)
-        refl = build_matrix(full_points, sys_, reflected=True)
-        check_rows(refl, sys_, reflected=True)
+        check_rows(list(greedy_closure(sys_)), sys_)
+        check_rows(full_points, sys_)
+        check_rows(full_points, sys_, reflected=True)
 
     @settings(max_examples=25, deadline=None)
     @given(ordered_multihomo())
     def test_ordered_multihomogeneous(self, sys_):
-        check_rows(build_matrix(list(greedy_closure_multi(sys_)), sys_), sys_)
-        check_rows(build_matrix(list(lattice_points_multi(sys_)), sys_), sys_)
+        check_rows(list(greedy_closure_multi(sys_)), sys_)
+        check_rows(list(lattice_points_multi(sys_)), sys_)
+
+
+def per_point_witness(points, sys_, reflected=False):
+    """First row in matrix order with a missing column, and that column."""
+    present = set(points)
+    for b in expected_order(points, sys_, reflected):
+        if isinstance(sys_, MultiHomoSystem):
+            cols = column_support_multi(b, sys_)
+        else:
+            cols = column_support(b, sys_, reflected=reflected)
+        for col in cols:
+            if col not in present:
+                return b, col
+    return None
+
+
+def check_witness(points, sys_, reflected=False):
+    expected = per_point_witness(points, sys_, reflected)
+    if expected is None:
+        build_matrix(points, sys_, reflected)
+        return None
+    with pytest.raises(NotClosed) as exc:
+        build_matrix(points, sys_, reflected)
+    assert (exc.value.row_point, exc.value.missing_point) == expected
+    return expected
+
+
+def drop_some(data, points, sys_, reflected=False):
+    """points without a random nonempty set of their non-mixed points."""
+    candidates = [b for b in points if not classify(b, sys_, reflected)[0]]
+    dropped = data.draw(st.sets(st.sampled_from(candidates), min_size=1, max_size=3))
+    return [b for b in points if b not in dropped], dropped
+
+
+class TestNotClosedWitness:
+    @settings(max_examples=25, deadline=None)
+    @given(ordered_boxes(), st.data())
+    def test_ordered_boxes(self, sys_, data):
+        closure = list(greedy_closure(sys_))
+        if all(classify(b, sys_)[0] for b in closure):
+            return
+        kept, dropped = drop_some(data, closure, sys_)
+        # the closure reaches every point from a mixed one, so a row breaks
+        assert check_witness(kept, sys_)[1] in dropped
+        full, _ = drop_some(data, list(lattice_points(sys_)), sys_, True)
+        check_witness(full, sys_, reflected=True)
+
+    @settings(max_examples=25, deadline=None)
+    @given(ordered_multihomo(), st.data())
+    def test_ordered_multihomogeneous(self, sys_, data):
+        closure = list(greedy_closure_multi(sys_))
+        if all(classify(b, sys_)[0] for b in closure):
+            return
+        kept, dropped = drop_some(data, closure, sys_)
+        assert check_witness(kept, sys_)[1] in dropped
+
+
+BAD_POINTS = [
+    (UNIT2, (0, 3), PointOutOfRange),
+    (UNIT2, (-1, 0), PointOutOfRange),
+    (UNIT2, (0, 0, 0), BadShape),
+    (UNIT2, (1,), BadShape),
+    (TRI, (-1, 0), PointOutOfRange),
+    (TRI, (2, 2), PointOutOfRange),
+    (TRI, (0, 0, 0), BadShape),
+    (TRI, (1,), BadShape),
+]
+
+
+class TestBadPoints:
+    @pytest.mark.parametrize("sys_, bad, error", BAD_POINTS)
+    def test_same_error_as_per_point_route(self, sys_, bad, error):
+        multi = isinstance(sys_, MultiHomoSystem)
+        full = list(lattice_points_multi(sys_) if multi else lattice_points(sys_))
+        for reflected in (False,) if multi else (False, True):
+            with pytest.raises(error) as want:
+                classify(bad, sys_, reflected)
+            with pytest.raises(error) as got:
+                build_matrix(full + [bad], sys_, reflected)
+            assert str(got.value) == str(want.value)
+
+
+class TestKeyedSuccessPath:
+    def test_no_per_point_classifier(self, monkeypatch):
+        cases = [
+            (list(greedy_closure(UNIT3)), UNIT3, False),
+            (list(lattice_points(UNIT3)), UNIT3, True),
+            (list(lattice_points_multi(TRI)), TRI, False),
+        ]
+        expected = [build_matrix(*case) for case in cases]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("per-point function called")
+
+        names = (
+            "type_function_of", "row_content_of", "column_support",
+            "type_function_multi", "row_content_multi", "column_support_multi",
+        )
+        for module in (resmat.subdivision, resmat.multihomo, resmat.matrix):
+            for name in names:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, forbidden)
+        assert [build_matrix(*case) for case in cases] == expected
+
+
+class TestGcPause:
+    def test_paused_during_build_and_restored(self):
+        states = []
+
+        def points():
+            states.append(gc.isenabled())
+            yield from lattice_points(UNIT2)
+
+        assert gc.isenabled()
+        build_matrix(points(), UNIT2)
+        assert states == [False]
+        assert gc.isenabled()
+        principal_submatrix(greedy_matrix(UNIT2))
+        assert gc.isenabled()
+
+    def test_restored_after_not_closed(self):
+        points = [b for b in greedy_closure(UNIT2) if b != (1, 2)]
+        with pytest.raises(NotClosed):
+            build_matrix(points, UNIT2)
+        assert gc.isenabled()
+        with pytest.raises(PointOutOfRange):
+            build_matrix([(5, 5)], UNIT2)
+        assert gc.isenabled()
+
+    def test_caller_disabled_gc_stays_disabled(self):
+        m = greedy_matrix(UNIT2)
+        points = [b for b in greedy_closure(UNIT2) if b != (1, 2)]
+        gc.disable()
+        try:
+            build_matrix(m.points, UNIT2)
+            assert not gc.isenabled()
+            principal_submatrix(m)
+            assert not gc.isenabled()
+            with pytest.raises(NotClosed):
+                build_matrix(points, UNIT2)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
 
 
 class TestEntriesView:
