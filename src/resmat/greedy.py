@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import accumulate, combinations_with_replacement, permutations, product
 from operator import add, ge, getitem, le, mul, or_
 from typing import Callable, Iterable, Iterator, Sequence
@@ -83,8 +83,14 @@ class KeyedWindow:
         )
         self._full = (1 << (n + 1)) - 1
         self._lows = [tuple(p[i] for p in zsys.column_prefixes) for i in range(n + 1)]
+        # per polynomial, its support images: per block, nondecreasing in [0, bound]
+        self.images = [
+            [sum(parts, ()) for parts in product(*(
+                combinations_with_replacement(range(row[a] + 1), b - a)
+                for a, b in self.blocks))]
+            for row in zsys.bounds
+        ]
         self._records: dict[tuple, tuple] = {}
-        self._labels: dict[CoeffRef, CoeffRef] = {}
 
     def key(self, w: Sequence[int]) -> int:
         return sum(map(mul, w, self.strides))
@@ -116,33 +122,30 @@ class KeyedWindow:
             rec = self._records[i, above] = self._record(i, above)
         return rec
 
+    @cached_property
+    def labels(self) -> list[list[CoeffRef]]:
+        """Per polynomial, the label of each support image; built on first use."""
+        pre, images = self.preimage, enumerate(self.images)
+        return [[CoeffRef(i, pre(i, v)) for v in vs] for i, vs in images]
+
     def _record(self, i: int, above: tuple[bool, ...]) -> tuple:
-        """Content, column deltas, their labels, vertex, hi and steps of a row."""
+        """Content, column deltas, vertex, hi and steps of a row."""
         bounds = self.zsys.bounds[i]
         vertex = [a if up else 0 for a, up in zip(bounds, above)]
         rc = RowContent(i, self.preimage(i, vertex))
-        # support images: per block, nondecreasing sequences in [0, bound]
-        blocks = [
-            combinations_with_replacement(range(bounds[a] + 1), b - a)
-            for a, b in self.blocks
-        ]
-        images = [sum(parts, ()) for parts in product(*blocks)]
-        # one CoeffRef per support point, shared by every record
-        refs = (CoeffRef(i, self.preimage(i, img)) for img in images)
-        labels = [self._labels.setdefault(ref, ref) for ref in refs]
         # columns w - vertex + image stay in the window and strictly increase
         # inside blocks iff vertex <= w <= hi and w steps by at least `need`
         hi = [t - 1 - bounds[h] + v for t, h, v in zip(self.totals, self.heads, vertex)]
         steps = [(k, 1 + vertex[k] - vertex[k - 1]) for k in self.steps]
         # column keys relative to the row key: support image minus vertex
         voff = self.key(vertex)
-        deltas = [self.key(img) - voff for img in images]
-        return rc, deltas, labels, vertex, hi, steps
+        deltas = [self.key(img) - voff for img in self.images[i]]
+        return rc, deltas, vertex, hi, steps
 
     @staticmethod
     def fits(w: Sequence[int], rec: tuple) -> bool:
         """Whether every column key of row w is the key of a window point."""
-        _, _, _, vertex, hi, steps = rec
+        _, _, vertex, hi, steps = rec
         return all(map(le, vertex, w)) and all(map(le, w, hi)) and all(
             w[k] - w[k - 1] >= need for k, need in steps
         )

@@ -131,7 +131,8 @@ def build_matrix(
         found = list(map(pos.get, map(key.__add__, rec[1])))
         if not window.fits(w, rec) or None in found:
             raise _per_point_error(b, sys_, reflected, {d[0] for d in ordered})
-        rows.append(tuple(sorted(zip(found, rec[2]), key=itemgetter(0))))
+        pairs = zip(found, window.labels[rec[0].poly])
+        rows.append(tuple(sorted(pairs, key=itemgetter(0))))
 
     return SymbolicMatrix(
         n=n,

@@ -154,6 +154,10 @@ def ff_det(matrix: Sequence[Sequence[int]], p: int) -> int:
     return det % p
 
 
+# share of nonzeros in the active submatrix that starts the dense phase
+_DENSE_AT = 0.4
+
+
 def sparse_det(rows: Sequence[dict[int, int]], p: int) -> int:
     """Determinant in Z/p of a square matrix given by sparse rows.
 
@@ -163,10 +167,19 @@ def sparse_det(rows: Sequence[dict[int, int]], p: int) -> int:
     shortest row.  Ties go to the largest column and the smallest row
     index; on the greedy-first matrices of build_matrix that fills in less
     than taking the smallest column.
+
+    Once the active k x k submatrix holds _DENSE_AT * k^2 nonzeros, each of
+    its rows is packed into one int of k slots, W >= 2 bitlen(p) + bitlen(k)
+    + 1 bits each, and a row update is one big-int multiply-add R += f * X,
+    with X the pivot row reduced mod p and f < p.  Slots are reduced only
+    when read (pivot search, multiplier, pivot row): a slot starts below p
+    and takes at most k - 1 additions below p^2, so it stays below
+    k p^2 < 2^W and never carries into the next.  The sign is the parity of
+    the row -> pivot column permutation of both phases.
     """
     _require_prime(p)
     n = len(rows)
-    active: list[dict[int, int]] = []
+    active: dict[int, dict[int, int]] = {}  # the rows not yet pivoted
     cols: list[set[int] | None] = [set() for _ in range(n)]  # None: pivoted
     for r, row in enumerate(rows):
         kept = {}
@@ -177,13 +190,14 @@ def sparse_det(rows: Sequence[dict[int, int]], p: int) -> int:
             if v:
                 kept[c] = v
                 cols[c].add(r)
-        active.append(kept)
+        active[r] = kept
+    nnz = sum(map(len, active.values()))
 
     heap = [(len(rs), -c) for c, rs in enumerate(cols)]
     heapq.heapify(heap)
     pivot_col: dict[int, int] = {}
     det = 1
-    while heap:
+    while nnz < _DENSE_AT * len(active) ** 2:
         count, c = heapq.heappop(heap)
         c = -c
         col = cols[c]
@@ -192,18 +206,20 @@ def sparse_det(rows: Sequence[dict[int, int]], p: int) -> int:
         if not col:
             return 0
         r = min(col, key=lambda s: (len(active[s]), s))
-        prow = active[r]
+        prow = active.pop(r)
         v = prow.pop(c)
         det = det * v % p
         inv = pow(v, -1, p)
         pivot_col[r] = c
         cols[c] = None
         col.discard(r)
+        nnz -= len(prow) + 1
         for cc in prow:
             cols[cc].discard(r)
         entries = list(prow.items())
         for s in col:
             srow = active[s]
+            before = len(srow)
             f = p - srow.pop(c) * inv % p
             for cc, x in entries:
                 y = srow.get(cc)
@@ -217,8 +233,32 @@ def sparse_det(rows: Sequence[dict[int, int]], p: int) -> int:
                     else:
                         del srow[cc]
                         cols[cc].discard(s)
+            nnz += len(srow) - before
         for cc in prow:
             heapq.heappush(heap, (len(cols[cc]), -cc))
+
+    rest_cols = [c for c, col in enumerate(cols) if col is not None]
+    k = len(active)
+    width = (2 * p.bit_length() + k.bit_length() + 8) // 8  # bytes per slot
+    bits, mask = 8 * width, (1 << 8 * width) - 1
+
+    def pack(values: list[int]) -> int:
+        chunks = b"".join([v.to_bytes(width, "little") for v in values])
+        return int.from_bytes(chunks, "little")
+
+    dense = {r: pack([row.get(c, 0) for c in rest_cols]) for r, row in active.items()}
+    for j, c in enumerate(rest_cols):
+        r = next((r for r, y in dense.items() if (y & mask) % p), None)
+        if r is None:
+            return 0
+        pivot_col[r] = c
+        raw = dense.pop(r).to_bytes((k - j) * width, "little")
+        slots = range(0, len(raw), width)
+        v, *tail = [int.from_bytes(raw[t : t + width], "little") % p for t in slots]
+        det = det * v % p
+        f = p - pow(v, -1, p)  # -1/v: row R becomes R - (R[j] / v) * pivot row
+        top = pack(tail)
+        dense = {s: (y >> bits) + (y & mask) * f % p * top for s, y in dense.items()}
 
     # the sign is the parity of the row -> pivot column permutation
     seen: set[int] = set()

@@ -25,9 +25,14 @@ from resmat import (
     specialize_rows,
 )
 from resmat.cli import load_system
+from resmat.oracles import _DENSE_AT, _MR_LIMIT, _is_prime
+from resmat.systems import validate_zonotope
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 PRIMES = (3, 7, 2**31 - 1)
+# the largest prime below _MR_LIMIT: 82 bits, the widest slots of the dense tail
+TOP_PRIME = 3_317_044_064_679_887_385_961_813
+WIDE_PRIMES = (2, 3, 7, 2**31 - 1, TOP_PRIME)
 
 
 def to_rows(dense):
@@ -134,6 +139,75 @@ class TestSparseDetEdges:
             sparse_det([{0: 1}], 9)
 
 
+@st.composite
+def banded_cases(draw):
+    """(dense matrix, p): a band plus scattered entries, sizes 8 to 48.
+
+    Markowitz fill-in inside the band crosses the dense-tail threshold part
+    way through.  Optionally singular: a scaled duplicate row, or a scaled
+    copy of a full column, which only goes zero late in the dense phase.
+    """
+    p = draw(st.sampled_from(WIDE_PRIMES))
+    n = draw(st.integers(8, 48))
+    band = draw(st.integers(1, 3))
+    rng = draw(st.randoms(use_true_random=False))
+    dense = [
+        [rng.randrange(p) if abs(r - c) <= band else 0 for c in range(n)]
+        for r in range(n)
+    ]
+    for _ in range(draw(st.integers(0, 2 * n))):
+        dense[rng.randrange(n)][rng.randrange(n)] = rng.randrange(-p, 2 * p)
+    src, dst = rng.sample(range(n), 2)
+    k = rng.randrange(p)
+    singular = draw(st.sampled_from(("none", "row", "column")))
+    if singular == "row":
+        dense[dst] = [k * v for v in dense[src]]
+    elif singular == "column":
+        for row in dense:
+            row[src] = rng.randrange(1, p)
+            row[dst] = k * row[src]
+    return dense, p
+
+
+class TestDenseTail:
+    def test_top_prime(self):
+        assert _is_prime(TOP_PRIME)
+        assert not any(map(_is_prime, range(TOP_PRIME + 1, _MR_LIMIT)))
+
+    @settings(max_examples=120, deadline=None)
+    @given(banded_cases())
+    def test_banded_matches_dense_oracle(self, case):
+        dense, p = case
+        assert sparse_det(to_rows(dense), p) == ff_det(dense, p)
+
+    @pytest.mark.parametrize("p", WIDE_PRIMES)
+    def test_all_max_entries(self, p):
+        # every slot starts at p - 1 and takes the largest multipliers
+        n = 40
+        ones = [[p - 1] * n for _ in range(n)]
+        assert sparse_det(to_rows(ones), p) == 0 == ff_det(ones, p)
+        shifted = [[1 if r == c else p - 1 for c in range(n)] for r in range(n)]
+        assert sparse_det(to_rows(shifted), p) == ff_det(shifted, p)
+        rng = random.Random(p)
+        near = [[p - 1 - rng.randrange(3) for _ in range(n)] for _ in range(n)]
+        assert sparse_det(to_rows(near), p) == ff_det(near, p)
+
+    @pytest.mark.parametrize("p", WIDE_PRIMES)
+    def test_singular_tail_after_odd_permutation(self, p):
+        # rows 0..7 are singletons with rows 6 and 7 swapped, pivoted before
+        # the switch; rows 8..15 hold min(i, j) + 1, of determinant 1
+        n = 16
+        dense = [[0] * n for _ in range(n)]
+        for r in range(8):
+            dense[r][{6: 7, 7: 6}.get(r, r)] = 1
+        for i in range(8):
+            dense[8 + i][8:] = [min(i, j) + 1 for j in range(8)]
+        assert 8 + 64 < _DENSE_AT * n * n  # the sparse phase runs first
+        assert sparse_det(to_rows(dense), p) == p - 1 == ff_det(dense, p)
+        dense[15][8:] = [2 * v for v in dense[8][8:]]
+        assert sparse_det(to_rows(dense), p) == 0 == ff_det(dense, p)
+
+
 def _matrices(spec):
     sys_, _ = load_system(str(SPECS / spec))
     if isinstance(sys_, MultiHomoSystem):
@@ -168,3 +242,40 @@ def test_specialize_rows_matches_dense():
     rows = specialize_rows(h, coeffs, 7)
     assert rows == to_rows(specialize(h, coeffs, 7))
     assert all(0 < v < 7 for row in rows for v in row.values())
+
+
+# sparse_det of [[2,2,2]]*4 under draw_coefficients(Random(draw)), as
+# computed by the Markowitz-only elimination before the dense tail
+BOX_222_DETS = {
+    (3, 0): dict(H=0, E=0, H_G=0, E_G=0, H_R=0, E_R=0),
+    (3, 1): dict(H=0, E=0, H_G=0, E_G=0, H_R=0, E_R=0),
+    (DEFAULT_PRIME, 0): dict(
+        H=848366366, E=873453978, H_G=1218723712,
+        E_G=550189777, H_R=728789514, E_R=1335027606,
+    ),
+    (DEFAULT_PRIME, 1): dict(
+        H=1977253591, E=384307179, H_G=1244412631,
+        E_G=184314437, H_R=1157999658, E_R=834489709,
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def box_222():
+    sys_ = validate_zonotope([[2, 2, 2]] * 4)
+    h = build_matrix(lattice_points(sys_), sys_)
+    h_g = build_matrix(greedy_closure(sys_), sys_)
+    h_r = build_matrix(h.points, sys_, reflected=True)
+    mats = dict(H=h, H_G=h_g, H_R=h_r)
+    for name, m in list(mats.items()):
+        mats[name.replace("H", "E")] = principal_submatrix(m)
+    return sys_, mats
+
+
+@pytest.mark.parametrize("p, draw", sorted(BOX_222_DETS))
+def test_box_222_pinned(box_222, p, draw):
+    # at DEFAULT_PRIME all six reach the dense tail, at k = 71 to 142
+    sys_, mats = box_222
+    coeffs = draw_coefficients(sys_, random.Random(draw), p)
+    dets = {k: sparse_det(specialize_rows(m, coeffs, p), p) for k, m in mats.items()}
+    assert dets == BOX_222_DETS[p, draw]
