@@ -5,6 +5,9 @@ half-open interval arithmetic classifies every lattice point into a cell of
 a fixed mixed subdivision, the greedy reduction selects the small row set,
 and the quotient of two determinants is validated by randomized
 specialization over a prime field.
+
+The package root exports the surface documented in README.md and the
+exception classes; everything else is imported from its module.
 """
 
 from .errors import (
@@ -21,62 +24,24 @@ from .errors import (
     SpecParse,
     UnsupportedFormat,
 )
-from .greedy import (
-    cell_table,
-    check_no_escape,
-    greedy_closure,
-    is_greedy,
-    predicted_size_zonotope,
-)
-from .matrix import (
-    SymbolicMatrix,
-    build_matrix,
-    export_matrix,
-    principal_submatrix,
-)
-from .multihomo import (
-    Embedding,
-    cell_table_multi,
-    check_no_escape_multi,
-    column_support_multi,
-    embed,
-    greedy_closure_multi,
-    in_lattice_multi,
-    is_valid_group_typefn,
-    lattice_points_multi,
-    predicted_size_multihomo,
-    row_content_multi,
-    type_function_multi,
-)
+from .greedy import greedy_closure, predicted_size_zonotope
+from .matrix import SymbolicMatrix, build_matrix, export_matrix, principal_submatrix
+from .multihomo import greedy_closure_multi, predicted_size_multihomo
 from .oracles import (
     DEFAULT_PRIME,
     QuotientReport,
     draw_coefficients,
     ff_det,
-    mixed_volume,
-    permanent,
     sparse_det,
     specialize,
     specialize_rows,
-    sylvester_resultant,
     verify_quotient,
-)
-from .subdivision import (
-    cell_points,
-    column_support,
-    is_mixed,
-    lattice_points,
-    reflect_point,
-    row_content_of,
-    type_function_of,
 )
 from .systems import (
     CoeffRef,
     MultiHomoSystem,
-    RowContent,
     ZonotopeSystem,
     normalize_zonotope,
-    type_vector_of,
     validate_multihomo,
     validate_zonotope,
 )
@@ -87,7 +52,6 @@ __all__ = [
     "BadShape",
     "CoeffRef",
     "DEFAULT_PRIME",
-    "Embedding",
     "InvariantViolated",
     "MultiHomoSystem",
     "NonPositiveBound",
@@ -97,7 +61,6 @@ __all__ = [
     "PointOutOfRange",
     "QuotientReport",
     "ResmatError",
-    "RowContent",
     "SingularGenerators",
     "SpecInvalid",
     "SpecParse",
@@ -105,40 +68,18 @@ __all__ = [
     "UnsupportedFormat",
     "ZonotopeSystem",
     "build_matrix",
-    "cell_points",
-    "cell_table",
-    "cell_table_multi",
-    "check_no_escape",
-    "check_no_escape_multi",
-    "column_support",
-    "column_support_multi",
     "draw_coefficients",
-    "embed",
     "export_matrix",
     "ff_det",
     "greedy_closure",
     "greedy_closure_multi",
-    "in_lattice_multi",
-    "is_greedy",
-    "is_mixed",
-    "is_valid_group_typefn",
-    "lattice_points",
-    "lattice_points_multi",
-    "mixed_volume",
     "normalize_zonotope",
-    "permanent",
     "predicted_size_multihomo",
     "predicted_size_zonotope",
     "principal_submatrix",
-    "reflect_point",
-    "row_content_of",
     "sparse_det",
     "specialize",
     "specialize_rows",
-    "sylvester_resultant",
-    "type_function_multi",
-    "type_function_of",
-    "type_vector_of",
     "validate_multihomo",
     "validate_zonotope",
     "verify_quotient",

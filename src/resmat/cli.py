@@ -16,7 +16,7 @@ import random
 import sys
 from collections import Counter
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import (
     NotPrime,
@@ -24,13 +24,7 @@ from .errors import (
     SpecInvalid,
     SpecParse,
 )
-from .greedy import (
-    cell_table,
-    check_no_escape,
-    greedy_closure,
-    is_greedy,
-    predicted_size_zonotope,
-)
+from .greedy import cell_table, check_no_escape, greedy_closure, predicted_size_zonotope
 from .matrix import build_matrix, export_matrix, principal_submatrix
 from .multihomo import (
     cell_table_multi,
@@ -39,7 +33,6 @@ from .multihomo import (
     keyed_window,
     lattice_points_multi,
     predicted_size_multihomo,
-    type_function_multi,
 )
 from .oracles import (
     DEFAULT_PRIME,
@@ -50,12 +43,11 @@ from .oracles import (
     specialize_rows,
     verify_quotient,
 )
-from .subdivision import lattice_points, type_function_of
+from .subdivision import lattice_points
 from .systems import (
     MultiHomoSystem,
     ZonotopeSystem,
     normalize_zonotope,
-    type_vector_of,
     validate_multihomo,
     validate_zonotope,
 )
@@ -146,28 +138,22 @@ def _check_guardrail(sys_, force: bool) -> None:
         )
 
 
-def _closure(sys_):
+class _Engine(NamedTuple):
+    closure: Callable
+    predicted: Callable
+    no_escape: Callable
+    cell_table: Callable
+    points: Callable
+
+
+def _engine(sys_) -> _Engine:
+    """The entry points of sys_'s kind, read from this module at each call,
+    so that wrappers installed on its attributes see every call."""
     if isinstance(sys_, MultiHomoSystem):
-        return greedy_closure_multi(sys_)
-    return greedy_closure(sys_)
-
-
-def _predicted(sys_) -> int:
-    if isinstance(sys_, MultiHomoSystem):
-        return predicted_size_multihomo(sys_)
-    return predicted_size_zonotope(sys_)
-
-
-def _all_points(sys_):
-    if isinstance(sys_, MultiHomoSystem):
-        return lattice_points_multi(sys_)
-    return lattice_points(sys_)
-
-
-def _type_vector(b, sys_) -> tuple[int, ...]:
-    if isinstance(sys_, MultiHomoSystem):
-        return type_vector_of(type_function_multi(b, sys_), sys_.n)
-    return type_vector_of(type_function_of(b, sys_), sys_.n)
+        return _Engine(greedy_closure_multi, predicted_size_multihomo,
+                       check_no_escape_multi, cell_table_multi, lattice_points_multi)
+    return _Engine(greedy_closure, predicted_size_zonotope,
+                   check_no_escape, cell_table, lattice_points)
 
 
 def _mixed_by_poly(sys_, closure) -> list[int]:
@@ -181,9 +167,10 @@ def _mixed_by_poly(sys_, closure) -> list[int]:
 
 def cmd_sizes(sys_, meta: dict) -> int:
     multi = isinstance(sys_, MultiHomoSystem)
+    engine = _engine(sys_)
     b_size = sys_.lattice_size()
-    closure = _closure(sys_)
-    predicted = _predicted(sys_)
+    closure = engine.closure(sys_)
+    predicted = engine.predicted(sys_)
     g = len(closure)
 
     print(f"kind={'multihomogeneous' if multi else 'zonotope'} n={sys_.n}")
@@ -196,7 +183,7 @@ def cmd_sizes(sys_, meta: dict) -> int:
     )
     if multi:
         formula: Counter = Counter()
-        for phi, t, count, mixed, greedy, rc in cell_table_multi(sys_):
+        for phi, t, count, mixed, greedy, rc in engine.cell_table(sys_):
             if mixed:
                 formula[rc.poly] += count
         print(
@@ -223,8 +210,7 @@ def cmd_sizes(sys_, meta: dict) -> int:
 
 
 def cmd_subdivision(sys_) -> int:
-    multi = isinstance(sys_, MultiHomoSystem)
-    rows = cell_table_multi(sys_) if multi else cell_table(sys_)
+    rows = _engine(sys_).cell_table(sys_)
     mixed_cells = 0
     greedy_cells = 0
     for phi, t, count, mixed, greedy, rc in rows:
@@ -241,10 +227,8 @@ def cmd_subdivision(sys_) -> int:
 
 
 def cmd_matrix(sys_, args) -> int:
-    if args.full:
-        points = list(_all_points(sys_))
-    else:
-        points = list(_closure(sys_))
+    engine = _engine(sys_)
+    points = list(engine.points(sys_) if args.full else engine.closure(sys_))
     m = build_matrix(points, sys_)
     if args.principal:
         m = principal_submatrix(m)
@@ -287,17 +271,16 @@ def cmd_verify(sys_, args) -> int:
             f"--quotient-limit must be nonnegative, got {args.quotient_limit}"
         )
     multi = isinstance(sys_, MultiHomoSystem)
+    engine = _engine(sys_)
     b_size = sys_.lattice_size()
-    closure = _closure(sys_)
+    closure = engine.closure(sys_)
     g = len(closure)
     print(f"kind={'multihomogeneous' if multi else 'zonotope'} n={sys_.n}")
     print(f"|B|={b_size} |G|={g}")
 
     structural: list[tuple[str, bool, str]] = []
 
-    predicate = {
-        b for b in _all_points(sys_) if is_greedy(_type_vector(b, sys_))
-    }
+    predicate = {b for _, cell in keyed_window(sys_).greedy_cells() for b in cell}
     structural.append(
         (
             "closure-equals-greedy-predicate",
@@ -305,12 +288,9 @@ def cmd_verify(sys_, args) -> int:
             f"closure {len(closure)} vs predicate {len(predicate)}",
         )
     )
-    escape_ok = (
-        check_no_escape_multi(sys_) if multi else check_no_escape(sys_)
-    )
-    structural.append(("no-escape", escape_ok, ""))
+    structural.append(("no-escape", engine.no_escape(sys_), ""))
 
-    rows = cell_table_multi(sys_) if multi else cell_table(sys_)
+    rows = engine.cell_table(sys_)
     cell_total = sum(r[2] for r in rows)
     structural.append(
         (
@@ -319,7 +299,7 @@ def cmd_verify(sys_, args) -> int:
             f"cell counts sum to {cell_total}, window has {b_size}",
         )
     )
-    predicted = _predicted(sys_)
+    predicted = engine.predicted(sys_)
     structural.append(
         (
             "predicted-size",
@@ -340,7 +320,7 @@ def cmd_verify(sys_, args) -> int:
 
     gated = b_size <= args.quotient_limit
     if gated:
-        full = build_matrix(list(_all_points(sys_)), sys_)
+        full = build_matrix(list(engine.points(sys_)), sys_)
         flags = full.greedy_flags
         tri_ok = all(flags[c] for row, f in zip(full.rows, flags) if f for c, _ in row)
         structural.append(("block-triangular", tri_ok, ""))

@@ -19,12 +19,14 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from functools import cached_property, reduce
-from itertools import accumulate, combinations_with_replacement, permutations, product
-from operator import add, ge, getitem, le, mul, or_
-from typing import Callable, Iterable, Iterator, Sequence
+from itertools import (
+    accumulate, chain, combinations_with_replacement, permutations, product
+)
+from operator import add, ge, getitem, le, mul, or_, sub
+from typing import Callable, Iterator, Sequence
 
 from .errors import PointOutOfRange
-from .subdivision import column_support, is_mixed, lattice_points, type_function_of
+from .subdivision import is_mixed
 from .systems import (
     CoeffRef, Point, RowContent, TypeFunction, ZonotopeSystem, type_vector_of
 )
@@ -98,18 +100,25 @@ class KeyedWindow:
     def coords(self, key: int) -> list[int]:
         return [key // s % t for s, t in zip(self.strides, self.totals)]
 
+    def cell_points(self, phi: Sequence[int]) -> Iterator[Point]:
+        """Window points of the cell phi, in key order.
+
+        The cell is a box of intervals; a point is kept only when it strictly
+        increases inside each block.
+        """
+        prefixes, steps = self.zsys.column_prefixes, self.steps
+        box = product(*(range(p[v], p[v + 1]) for p, v in zip(prefixes, phi)))
+        return (w for w in box if all(w[k - 1] < w[k] for k in steps))
+
     def mixed_window_points(self) -> Iterator[Point]:
         """Window points of the (n+1)! mixed cells, cell by cell.
 
         A mixed type function takes n distinct values; inside a block it must
         increase, or its cell holds no window point.
         """
-        prefixes = self.zsys.column_prefixes
         for phi in permutations(range(self.zsys.n + 1), self.zsys.n):
             if all(phi[k - 1] < phi[k] for k in self.steps):
-                yield from product(
-                    *(range(p[v], p[v + 1]) for p, v in zip(prefixes, phi))
-                )
+                yield from self.cell_points(phi)
 
     def record(self, w: Sequence[int]) -> tuple:
         """The record shared by every row with w's polynomial and vertex."""
@@ -206,29 +215,55 @@ class KeyedWindow:
         bounds = self.zsys.bounds
         return math.prod(math.comb(row[start], ck) for row, ck in zip(bounds, c))
 
-    def cell_table(self) -> list[CellRow]:
-        """Summary of every cell: (phi, t, point count, mixed, greedy, content).
+    def cells(self) -> Iterator[CellRow]:
+        """Every cell as (phi, t, point count, mixed, greedy, content), by phi.
 
         Cells whose type function decreases inside a block hold no point and
         are omitted; counts may still be zero (a diagonal block cell whose
-        simplex dimension exceeds its degree).  The content vertex is derived
-        from phi alone, which doubles as a cross check against the per-point
-        row contents.
+        simplex dimension exceeds its degree).  A cell picks one monotone
+        type function per block, and its count is the product of their
+        counts.  The content vertex is derived from phi alone, which doubles
+        as a cross check against the per-point row contents.
         """
-        n = self.zsys.n
-        out = []
-        for phi in product(range(n + 1), repeat=n):
-            if any(phi[k - 1] > phi[k] for k in self.steps):
-                continue
+        n, bounds = self.zsys.n, self.zsys.bounds
+        per_block = [
+            [(phi, self._cell_count(a, type_vector_of(phi, n)))
+             for phi in combinations_with_replacement(range(n + 1), b - a)]
+            for a, b in self.blocks
+        ]
+        for parts in product(*per_block):
+            phi = tuple(chain.from_iterable(p for p, _ in parts))
             t = type_vector_of(phi, n)
-            count = math.prod(
-                self._cell_count(a, type_vector_of(phi[a:b], n)) for a, b in self.blocks
-            )
             i = max(k for k, c in enumerate(t) if c == 0)
-            vertex = [0 if v < i else a for v, a in zip(phi, self.zsys.bounds[i])]
+            vertex = [0 if v < i else a for v, a in zip(phi, bounds[i])]
             rc = RowContent(i, self.preimage(i, vertex))
-            out.append((phi, t, count, is_mixed(t), is_greedy(t), rc))
-        return out
+            yield phi, t, math.prod(c for _, c in parts), is_mixed(t), is_greedy(t), rc
+
+    def greedy_cells(self) -> Iterator[tuple[RowContent, list[Point]]]:
+        """Content and points of each nonempty greedy cell, in cell_table order.
+
+        The points are in the caller's coordinates (from_window).
+        """
+        for phi, _, count, _, greedy, rc in self.cells():
+            if greedy and count:
+                yield rc, list(map(self.from_window, self.cell_points(phi)))
+
+
+def greedy_cells_closed(sys_, window: KeyedWindow) -> bool:
+    """Whether every column b - vertex + a of a greedy point b is greedy.
+
+    The columns come from sys_.support in the caller's coordinates, not from
+    the window's key deltas, so this stays a route apart from the closure.
+    """
+    cells = list(window.greedy_cells())
+    greedy = {b for _, points in cells for b in points}
+    supports = [list(sys_.support(i)) for i in range(sys_.n + 1)]
+    for (poly, vertex), points in cells:
+        for b in points:
+            base = tuple(map(sub, b, vertex))
+            if not all(tuple(map(add, base, a)) in greedy for a in supports[poly]):
+                return False
+    return True
 
 
 def predicted_size_zonotope(sys_: ZonotopeSystem) -> int:
@@ -252,17 +287,9 @@ def greedy_closure(sys_: ZonotopeSystem) -> dict[Point, RowContent]:
 
 def check_no_escape(sys_: ZonotopeSystem) -> bool:
     """Exhaustive check that column supports never leave the greedy set."""
-    return no_escape(sys_, lattice_points(sys_), type_function_of, column_support)
-
-
-def no_escape(sys_, points: Iterable[Point], type_function, columns) -> bool:
-    """True when the per-point columns of greedy points are greedy points."""
-    greedy_set = {
-        b for b in points if is_greedy(type_vector_of(type_function(b, sys_), sys_.n))
-    }
-    return all(col in greedy_set for b in greedy_set for col in columns(b, sys_))
+    return greedy_cells_closed(sys_, KeyedWindow(sys_))
 
 
 def cell_table(sys_: ZonotopeSystem) -> list[CellRow]:
     """Summary of every cell: (phi, t, point count, mixed, greedy, content)."""
-    return KeyedWindow(sys_).cell_table()
+    return list(KeyedWindow(sys_).cells())

@@ -18,13 +18,13 @@ import functools
 import gc
 from collections.abc import Mapping
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import add, itemgetter, sub
 from typing import Iterable, Iterator, Sequence
 
 from .errors import NotClosed, UnsupportedFormat
 from .greedy import is_greedy
-from .multihomo import column_support_multi, keyed_window
-from .subdivision import column_support, is_mixed
+from .multihomo import keyed_window
+from .subdivision import _check_window, is_mixed
 from .systems import (
     CoeffRef,
     MultiHomoSystem,
@@ -119,7 +119,9 @@ def build_matrix(
         w = window.to_window(b)
         cell = tuple(map(dict.get, tables, w))
         if len(b) != n or None in cell:
-            raise _per_point_error(b, sys_, reflected, ())
+            # the error of the point a per-point classifier checks: b itself,
+            # reflected or not, or the embedded w of a grouped system
+            _check_window(w if isinstance(sys_, MultiHomoSystem) else b, window.zsys)
         if (info := cells.get(cell)) is None:
             t = type_vector_of([bit.bit_length() - 1 for bit in cell], n)
             info = cells[cell] = (is_mixed(t), is_greedy(t), window.record(w))
@@ -130,7 +132,7 @@ def build_matrix(
     for key, (b, w, (_, _, rec)) in zip(pos, ordered):
         found = list(map(pos.get, map(key.__add__, rec[1])))
         if not window.fits(w, rec) or None in found:
-            raise _per_point_error(b, sys_, reflected, {d[0] for d in ordered})
+            raise _not_closed(b, rec[0], sys_, {d[0] for d in ordered})
         pairs = zip(found, window.labels[rec[0].poly])
         rows.append(tuple(sorted(pairs, key=itemgetter(0))))
 
@@ -144,12 +146,10 @@ def build_matrix(
     )
 
 
-def _per_point_error(b: Point, sys_, reflected: bool, present) -> NotClosed:
-    """NotClosed(b, first column missing from present), or the error of b."""
-    if isinstance(sys_, MultiHomoSystem):
-        cols = column_support_multi(b, sys_)
-    else:
-        cols = column_support(b, sys_, reflected=reflected)
+def _not_closed(b: Point, rc: RowContent, sys_, present) -> NotClosed:
+    """NotClosed(b, col) for the first column of b, in support order, not in present."""
+    base = tuple(map(sub, b, rc.vertex))
+    cols = (tuple(map(add, base, a)) for a in sys_.support(rc.poly))
     return NotClosed(b, next(c for c in cols if c not in present))
 
 

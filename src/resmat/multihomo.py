@@ -29,13 +29,12 @@ from operator import sub
 from typing import Iterator, Sequence
 
 from .errors import BadShape, InvariantViolated, PointOutOfRange
-from .greedy import CellRow, KeyedWindow, no_escape
-from .subdivision import reflect_point, row_content_of, type_function_of
+from .greedy import CellRow, KeyedWindow, greedy_cells_closed
+from .subdivision import reflect_point
 from .systems import (
     MultiHomoSystem,
     Point,
     RowContent,
-    TypeFunction,
     ZonotopeSystem,
     _simplex_points,
     validate_zonotope,
@@ -143,38 +142,6 @@ def lattice_points_multi(sys_: MultiHomoSystem) -> Iterator[Point]:
         yield tuple(c for block in combo for c in block)
 
 
-def in_lattice_multi(b: Sequence[int], sys_: MultiHomoSystem) -> bool:
-    if len(b) != sys_.n or any(c < 0 for c in b):
-        return False
-    for l, (start, stop) in enumerate(sys_.group_slices):
-        if sum(b[start:stop]) > sys_.degree_totals[l] - sys_.group_sizes[l]:
-            return False
-    return True
-
-
-def type_function_multi(b: Sequence[int], sys_: MultiHomoSystem) -> TypeFunction:
-    """Type function of a multihomogeneous point, in embedded coordinates."""
-    zsys, emb = embed(sys_)
-    return type_function_of(emb.to_window(b), zsys)
-
-
-def row_content_multi(b: Sequence[int], sys_: MultiHomoSystem) -> RowContent:
-    """Polynomial index and simplex-product vertex of the cell containing b."""
-    zsys, emb = embed(sys_)
-    poly, embedded_vertex = row_content_of(emb.to_window(b), zsys)
-    return RowContent(poly, emb.vertex_preimage(embedded_vertex))
-
-
-def column_support_multi(
-    b: Sequence[int], sys_: MultiHomoSystem
-) -> Iterator[Point]:
-    """Candidate column points of row b, in the natural exponent coordinates."""
-    poly, vertex = row_content_multi(b, sys_)
-    base = tuple(c - v for c, v in zip(b, vertex))
-    for a in sys_.support(poly):
-        yield tuple(c + x for c, x in zip(base, a))
-
-
 def keyed_window(
     sys_: ZonotopeSystem | MultiHomoSystem, reflected: bool = False
 ) -> KeyedWindow:
@@ -203,8 +170,7 @@ def greedy_closure_multi(sys_: MultiHomoSystem) -> dict[Point, RowContent]:
 
 def check_no_escape_multi(sys_: MultiHomoSystem) -> bool:
     """Column supports of greedy points stay greedy and inside the window."""
-    points = lattice_points_multi(sys_)
-    return no_escape(sys_, points, type_function_multi, column_support_multi)
+    return greedy_cells_closed(sys_, keyed_window(sys_))
 
 
 def predicted_size_multihomo(sys_: MultiHomoSystem) -> int:
@@ -219,4 +185,4 @@ def predicted_size_multihomo(sys_: MultiHomoSystem) -> int:
 
 def cell_table_multi(sys_: MultiHomoSystem) -> list[CellRow]:
     """Summary of every block-monotone cell, in lexicographic phi order."""
-    return keyed_window(sys_).cell_table()
+    return list(keyed_window(sys_).cells())

@@ -1,4 +1,4 @@
-"""Combinatorial mixed-subdivision engine for box systems.
+"""The mixed subdivision of a box system, one point at a time.
 
 Every coordinate axis j is cut into n+1 consecutive half-open intervals of
 lengths a_0j, ..., a_nj.  The interval index of each coordinate of a lattice
@@ -7,12 +7,15 @@ the mixed subdivision.  The half-open window encodes the generic small
 negative translation of the cells, so no lifting or translation values are
 ever materialized.
 
-All functions also accept reflected=True, which computes the subdivision of
-the opposite orientation (the one induced by positive instead of negative
-lifting slopes).  A point is then classified by reflecting it coordinatewise
-through the window, b_j -> total_j - 1 - b_j, and the returned support
-vertex is flipped back through its box.  The reflected subdivision is used
-for cross-validation only.
+type_function_of and row_content_of classify one point at a time.  The
+library classifies through greedy.KeyedWindow; these per-point functions
+are the reference it is tested against.  Both accept reflected=True, which
+computes the subdivision of the opposite orientation (the one induced by
+positive instead of negative lifting slopes).  A point is then classified by
+reflecting it coordinatewise through the window, b_j -> total_j - 1 - b_j,
+and the returned support vertex is flipped back through its box.  The
+reflected subdivision is used for cross-validation only.  _check_window
+gives the error of a point outside the window.
 """
 
 from __future__ import annotations
@@ -22,14 +25,7 @@ from itertools import product
 from typing import Iterator, Sequence
 
 from .errors import BadShape, InvariantViolated, PointOutOfRange
-from .systems import (
-    Point,
-    RowContent,
-    TypeFunction,
-    TypeVector,
-    ZonotopeSystem,
-    type_vector_of,
-)
+from .systems import Point, RowContent, TypeFunction, ZonotopeSystem, type_vector_of
 
 
 def lattice_points(sys_: ZonotopeSystem) -> Iterator[Point]:
@@ -114,35 +110,3 @@ def is_mixed(t: Sequence[int]) -> bool:
     other count to equal 1, which is the mixed-cell shape.
     """
     return sum(1 for c in t if c == 0) == 1
-
-
-def cell_points(
-    phi: Sequence[int], sys_: ZonotopeSystem
-) -> Iterator[Point]:
-    """Lattice points whose type function equals phi, in lexicographic order.
-
-    The cell of phi is a box with side lengths a_phi(j)j, so the fiber is a
-    coordinate product of intervals.
-    """
-    n = sys_.n
-    prefixes = sys_.column_prefixes
-    ranges = []
-    for j, v in enumerate(phi):
-        if not 0 <= v <= n:
-            raise BadShape(f"type function value {v} outside 0..{n}")
-        ranges.append(range(prefixes[j][v], prefixes[j][v + 1]))
-    return product(*ranges)
-
-
-def column_support(
-    b: Sequence[int], sys_: ZonotopeSystem, reflected: bool = False
-) -> Iterator[Point]:
-    """Candidate column points of row b: b - vertex + (support of its poly).
-
-    Every yielded point lies in the window again; the matrix row of b has
-    its potential entries exactly on these points.
-    """
-    poly, vertex = row_content_of(b, sys_, reflected=reflected)
-    base = tuple(c - v for c, v in zip(b, vertex))
-    for a in sys_.support(poly):
-        yield tuple(c + x for c, x in zip(base, a))

@@ -74,16 +74,9 @@ class ZonotopeSystem:
         """Number of points in the half-open window, prod_j sum_i a_ij."""
         return math.prod(self.column_totals)
 
-    def support_size(self, i: int) -> int:
-        return math.prod(a + 1 for a in self.bounds[i])
-
     def support(self, i: int) -> Iterator[Point]:
         """Lattice points of the i-th box, in lexicographic order."""
         return product(*(range(a + 1) for a in self.bounds[i]))
-
-    def in_support(self, i: int, pt: Sequence[int]) -> bool:
-        row = self.bounds[i]
-        return len(pt) == len(row) and all(0 <= c <= a for c, a in zip(pt, row))
 
 
 def validate_zonotope(bounds: Sequence[Sequence[int]]) -> ZonotopeSystem:
@@ -208,12 +201,6 @@ class MultiHomoSystem:
         """Per block l, sum_i degrees[i][l]."""
         return tuple(sum(col) for col in zip(*self.degrees))
 
-    def support_size(self, i: int) -> int:
-        return math.prod(
-            math.comb(self.degrees[i][l] + m, m)
-            for l, m in enumerate(self.group_sizes)
-        )
-
     def support(self, i: int) -> Iterator[Point]:
         """Exponent vectors of polynomial i, in lexicographic order."""
         blocks = [
@@ -222,16 +209,6 @@ class MultiHomoSystem:
         ]
         for combo in product(*blocks):
             yield tuple(c for block in combo for c in block)
-
-    def in_support(self, i: int, pt: Sequence[int]) -> bool:
-        if len(pt) != self.n:
-            return False
-        if any(c < 0 for c in pt):
-            return False
-        for l, (start, stop) in enumerate(self.group_slices):
-            if sum(pt[start:stop]) > self.degrees[i][l]:
-                return False
-        return True
 
     def lattice_size(self) -> int:
         # Block l contributes the lattice points of a simplex of degree

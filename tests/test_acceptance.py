@@ -13,29 +13,23 @@ import time
 from resmat import (
     DEFAULT_PRIME,
     build_matrix,
-    cell_table,
-    cell_table_multi,
-    check_no_escape,
     cli,
     draw_coefficients,
     ff_det,
     greedy_closure,
     greedy_closure_multi,
-    is_greedy,
-    is_mixed,
-    lattice_points,
-    lattice_points_multi,
-    mixed_volume,
     predicted_size_multihomo,
     predicted_size_zonotope,
-    row_content_of,
     specialize,
-    type_function_of,
-    type_vector_of,
     validate_multihomo,
     validate_zonotope,
     verify_quotient,
 )
+from resmat.greedy import cell_table, check_no_escape, is_greedy
+from resmat.multihomo import cell_table_multi
+from resmat.oracles import mixed_volume
+from resmat.subdivision import is_mixed, lattice_points, type_function_of
+from resmat.systems import type_vector_of
 
 FROZEN_UNIT_SIZES = {2: (9, 8), 3: (64, 50), 4: (625, 432), 5: (7776, 4802)}
 

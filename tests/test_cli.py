@@ -249,6 +249,26 @@ class TestVerifyCommand:
         summary = json.loads(out.rsplit("SUMMARY ", 1)[1])
         assert summary["ok"] is True
 
+    @pytest.mark.parametrize("spec, closure_name", [
+        (UNIT2_SPEC, "greedy_closure"), (TRI_SPEC, "greedy_closure_multi"),
+    ])
+    def test_predicate_is_a_separate_route(
+        self, spec, closure_name, monkeypatch, capsys
+    ):
+        # a closure that lost a point must fail the check against the cell walk
+        real = getattr(cli, closure_name)
+
+        def short(sys_):
+            closure = real(sys_)
+            closure.pop(next(reversed(closure)))
+            return closure
+
+        monkeypatch.setattr(cli, closure_name, short)
+        assert cli.main(["verify", spec, "--quotient-limit", "0"]) == 3
+        summary = json.loads(capsys.readouterr().out.rsplit("SUMMARY ", 1)[1])
+        assert summary["structural"]["closure-equals-greedy-predicate"] is False
+        assert summary["structural"]["no-escape"] is True
+
     def test_quotient_gating(self, capsys):
         code = cli.main(
             ["verify", UNIT2_SPEC, "--trials", "5", "--quotient-limit", "4"]

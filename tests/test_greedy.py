@@ -1,19 +1,10 @@
 from itertools import product
 
-from resmat import (
-    cell_points,
-    cell_table,
-    check_no_escape,
-    greedy_closure,
-    is_greedy,
-    is_mixed,
-    lattice_points,
-    predicted_size_zonotope,
-    row_content_of,
-    type_function_of,
-    type_vector_of,
-    validate_zonotope,
-)
+from pointwise import cell_points
+from resmat import greedy_closure, predicted_size_zonotope, validate_zonotope
+from resmat.greedy import cell_table, check_no_escape, is_greedy
+from resmat.subdivision import is_mixed, lattice_points, row_content_of, type_function_of
+from resmat.systems import type_vector_of
 
 
 def all_ones(n):

@@ -1,8 +1,10 @@
-"""The integer-keyed closure and the block dynamic program against brute force.
+"""The keyed engine against brute force.
 
-The references here are written from the public per-point functions only:
-a breadth-first closure over point tuples driven by column_support /
-column_support_multi, and a cell sum over all (n+1)^n type functions.
+The references here are written from the per-point functions only (module
+pointwise and resmat.subdivision): a breadth-first closure over point tuples
+driven by column_support / column_support_multi, a cell sum over all
+(n+1)^n type functions, and the per-point greedy predicate and no-escape
+scan, against the closure, the size program and the greedy-cell walk.
 """
 
 import math
@@ -13,27 +15,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pointwise
+from pointwise import (
+    column_support,
+    column_support_multi,
+    row_content_multi,
+    type_function_multi,
+)
 from resmat import (
     MultiHomoSystem,
     OrderingViolated,
     PointOutOfRange,
     ZonotopeSystem,
-    column_support,
-    column_support_multi,
     greedy_closure,
     greedy_closure_multi,
-    is_mixed,
-    lattice_points,
-    lattice_points_multi,
     predicted_size_multihomo,
     predicted_size_zonotope,
-    row_content_multi,
-    row_content_of,
-    type_function_multi,
-    type_function_of,
-    type_vector_of,
 )
-from resmat.greedy import KeyedWindow
+from resmat.greedy import KeyedWindow, check_no_escape
+from resmat.multihomo import check_no_escape_multi, keyed_window, lattice_points_multi
+from resmat.subdivision import is_mixed, lattice_points, row_content_of, type_function_of
+from resmat.systems import type_vector_of
 
 
 def tuple_closure(seeds, content, columns):
@@ -163,6 +165,77 @@ class TestSizeProgramMatchesCellSum:
                     count *= math.comb(sys_.degrees[k][l], seg.count(k))
             total += count
         assert predicted_size_multihomo(sys_) == total
+
+
+def walk_predicate(window):
+    """The greedy points, as the union of the greedy-cell walk."""
+    return {b for _, points in window.greedy_cells() for b in points}
+
+
+class TestGreedyCellWalk:
+    """The walk's predicate and no-escape check against the per-point scan."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(box_systems(ordered=True))
+    def test_ordered_boxes(self, sys_):
+        assert walk_predicate(KeyedWindow(sys_)) == pointwise.greedy_points(sys_)
+        assert check_no_escape(sys_) is pointwise.no_escape(sys_) is True
+
+    @settings(max_examples=30, deadline=None)
+    @given(multi_systems())
+    def test_ordered_multihomogeneous(self, sys_):
+        window = keyed_window(sys_)
+        assert walk_predicate(window) == pointwise.greedy_points(sys_)
+        assert all(points for _, points in window.greedy_cells())
+        assert check_no_escape_multi(sys_) is pointwise.no_escape(sys_) is True
+
+    @settings(max_examples=40, deadline=None)
+    @given(box_systems(ordered=False))
+    def test_unordered_boxes(self, sys_):
+        assert walk_predicate(KeyedWindow(sys_)) == pointwise.greedy_points(sys_)
+        assert check_no_escape(sys_) is pointwise.no_escape(sys_)
+
+    def test_unordered_boxes_can_escape(self):
+        # every 2-variable box system with bounds in {1, 2}; some escape
+        verdicts = []
+        for flat in product((1, 2), repeat=6):
+            sys_ = ZonotopeSystem((flat[0:2], flat[2:4], flat[4:6]))
+            verdicts.append(check_no_escape(sys_))
+            assert verdicts[-1] is pointwise.no_escape(sys_)
+        assert True in verdicts and False in verdicts
+
+    def test_content_and_points_per_cell(self):
+        sys_ = ZonotopeSystem(((1, 2), (2, 2), (3, 1)))
+        for rc, points in KeyedWindow(sys_).greedy_cells():
+            assert points
+            assert all(row_content_of(b, sys_) == rc for b in points)
+
+
+class TestCellPoints:
+    @settings(max_examples=30, deadline=None)
+    @given(box_systems(ordered=False))
+    def test_boxes(self, sys_):
+        window = KeyedWindow(sys_)
+        check_cell_points(sys_, window, lambda w: type_function_of(w, sys_))
+
+    @settings(max_examples=30, deadline=None)
+    @given(multi_systems())
+    def test_multihomogeneous(self, sys_):
+        window = keyed_window(sys_)
+        check_cell_points(
+            sys_, window, lambda w: type_function_multi(window.from_window(w), sys_)
+        )
+
+
+def check_cell_points(sys_, window, type_function):
+    """cell_points(phi) holds count points of type phi; the cells tile the window."""
+    total = 0
+    for phi, _, count, *_ in window.cells():
+        points = list(window.cell_points(phi))
+        assert len(points) == count
+        assert all(type_function(w) == phi for w in points)
+        total += count
+    assert total == sys_.lattice_size()
 
 
 class TestEscape:

@@ -4,9 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pointwise
 import resmat.matrix
 import resmat.multihomo
 import resmat.subdivision
+from pointwise import (
+    column_support,
+    column_support_multi,
+    row_content_multi,
+    type_function_multi,
+)
 from resmat import (
     BadShape,
     CoeffRef,
@@ -15,24 +22,17 @@ from resmat import (
     PointOutOfRange,
     UnsupportedFormat,
     build_matrix,
-    column_support,
-    column_support_multi,
     export_matrix,
     greedy_closure,
     greedy_closure_multi,
-    is_greedy,
-    is_mixed,
-    lattice_points,
-    lattice_points_multi,
     principal_submatrix,
-    row_content_multi,
-    row_content_of,
-    type_function_multi,
-    type_function_of,
-    type_vector_of,
     validate_multihomo,
     validate_zonotope,
 )
+from resmat.greedy import is_greedy
+from resmat.multihomo import lattice_points_multi
+from resmat.subdivision import is_mixed, lattice_points, row_content_of, type_function_of
+from resmat.systems import type_vector_of
 
 UNIT2 = validate_zonotope([[1, 1], [1, 1], [1, 1]])
 UNIT3 = validate_zonotope([[1, 1, 1]] * 4)
@@ -79,8 +79,9 @@ class TestBuildMatrix:
     def test_row_entry_count_is_support_size(self):
         m = greedy_matrix(UNIT3)
         for r in range(m.size):
-            expected = UNIT3.support_size(m.row_contents[r].poly)
-            assert len(m.rows[r]) == expected
+            expected = set(UNIT3.support(m.row_contents[r].poly))
+            assert len(m.rows[r]) == len(expected)
+            assert {ref.support for _, ref in m.rows[r]} == expected
 
     def test_point_order_greedy_mixed_first(self):
         m = build_matrix(list(lattice_points(UNIT2)), UNIT2)
@@ -299,6 +300,20 @@ class TestBadPoints:
             assert str(got.value) == str(want.value)
 
 
+def forbid_per_point(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("per-point function called")
+
+    names = (
+        "type_function_of", "row_content_of", "column_support",
+        "type_function_multi", "row_content_multi", "column_support_multi",
+    )
+    for module in (resmat.subdivision, resmat.multihomo, resmat.matrix, pointwise):
+        for name in names:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+
+
 class TestKeyedSuccessPath:
     def test_no_per_point_classifier(self, monkeypatch):
         cases = [
@@ -307,19 +322,18 @@ class TestKeyedSuccessPath:
             (list(lattice_points_multi(TRI)), TRI, False),
         ]
         expected = [build_matrix(*case) for case in cases]
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("per-point function called")
-
-        names = (
-            "type_function_of", "row_content_of", "column_support",
-            "type_function_multi", "row_content_multi", "column_support_multi",
-        )
-        for module in (resmat.subdivision, resmat.multihomo, resmat.matrix):
-            for name in names:
-                if hasattr(module, name):
-                    monkeypatch.setattr(module, name, forbidden)
+        forbid_per_point(monkeypatch)
         assert [build_matrix(*case) for case in cases] == expected
+
+    def test_error_path_without_per_point_classifier(self, monkeypatch):
+        forbid_per_point(monkeypatch)
+        with pytest.raises(NotClosed) as exc:
+            build_matrix([b for b in greedy_closure(UNIT2) if b != (1, 2)], UNIT2)
+        assert exc.value.missing_point == (1, 2)
+        with pytest.raises(PointOutOfRange):
+            build_matrix([(0, 3)], UNIT2, reflected=True)
+        with pytest.raises(PointOutOfRange):
+            build_matrix([(2, 2)], TRI)
 
 
 class TestGcPause:

@@ -3,27 +3,29 @@ from itertools import product
 
 import pytest
 
+from pointwise import (
+    column_support_multi,
+    in_lattice_multi,
+    row_content_multi,
+    type_function_multi,
+)
 from resmat import (
     InvariantViolated,
     PointOutOfRange,
-    cell_table_multi,
-    check_no_escape_multi,
-    column_support_multi,
-    embed,
     greedy_closure_multi,
-    in_lattice_multi,
-    is_greedy,
-    is_mixed,
-    is_valid_group_typefn,
-    lattice_points,
-    lattice_points_multi,
     predicted_size_multihomo,
-    row_content_multi,
-    type_function_multi,
-    type_function_of,
-    type_vector_of,
     validate_multihomo,
 )
+from resmat.greedy import is_greedy
+from resmat.multihomo import (
+    cell_table_multi,
+    check_no_escape_multi,
+    embed,
+    is_valid_group_typefn,
+    lattice_points_multi,
+)
+from resmat.subdivision import lattice_points, type_function_of
+from resmat.systems import type_vector_of
 
 # one block of size 2, degrees (2, 2, 1): the worked 9x9 example
 TRI = validate_multihomo((2,), [[2], [2], [1]])

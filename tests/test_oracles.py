@@ -12,17 +12,14 @@ from resmat import (
     draw_coefficients,
     ff_det,
     greedy_closure,
-    lattice_points,
-    mixed_volume,
-    permanent,
     principal_submatrix,
     specialize,
-    sylvester_resultant,
     validate_multihomo,
     validate_zonotope,
     verify_quotient,
 )
-from resmat.oracles import _require_prime
+from resmat.oracles import _require_prime, mixed_volume, permanent, sylvester_resultant
+from resmat.subdivision import lattice_points
 
 P = DEFAULT_PRIME
 

@@ -17,15 +17,15 @@ from resmat import (
     ff_det,
     greedy_closure,
     greedy_closure_multi,
-    lattice_points,
-    lattice_points_multi,
     principal_submatrix,
     sparse_det,
     specialize,
     specialize_rows,
 )
 from resmat.cli import load_system
+from resmat.multihomo import lattice_points_multi
 from resmat.oracles import _DENSE_AT, _MR_LIMIT, _is_prime
+from resmat.subdivision import lattice_points
 from resmat.systems import validate_zonotope
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"

@@ -1,18 +1,15 @@
 import pytest
 
-from resmat import (
-    BadShape,
-    PointOutOfRange,
-    cell_points,
-    column_support,
+from pointwise import cell_points, column_support
+from resmat import BadShape, PointOutOfRange, validate_zonotope
+from resmat.subdivision import (
     is_mixed,
     lattice_points,
     reflect_point,
     row_content_of,
     type_function_of,
-    type_vector_of,
-    validate_zonotope,
 )
+from resmat.systems import type_vector_of
 
 UNIT2 = validate_zonotope([[1, 1], [1, 1], [1, 1]])
 MIX2 = validate_zonotope([[1, 2], [2, 2], [3, 1]])
