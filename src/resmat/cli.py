@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 from collections import Counter
 from pathlib import Path
@@ -37,10 +36,7 @@ from .multihomo import (
 from .oracles import (
     DEFAULT_PRIME,
     _require_prime,
-    draw_coefficients,
     mixed_volume,
-    sparse_det,
-    specialize_rows,
     verify_quotient,
 )
 from .subdivision import lattice_points
@@ -318,6 +314,7 @@ def cmd_verify(sys_, args) -> int:
             )
         )
 
+    quotient = None
     gated = b_size <= args.quotient_limit
     if gated:
         full = build_matrix(list(engine.points(sys_)), sys_)
@@ -325,28 +322,12 @@ def cmd_verify(sys_, args) -> int:
         tri_ok = all(flags[c] for row, f in zip(full.rows, flags) if f for c, _ in row)
         structural.append(("block-triangular", tri_ok, ""))
 
-        k = sum(full.greedy_flags)
-        product_ok = True
-        detail = ""
-        for draw in range(10):
-            rng = random.Random(f"{args.seed}:block:{draw}")
-            coeffs = draw_coefficients(sys_, rng, args.prime)
-            rows = specialize_rows(full, coeffs, args.prime)
-            whole = sparse_det(rows, args.prime)
-            top = sparse_det(
-                [{c: v for c, v in row.items() if c < k} for row in rows[:k]],
-                args.prime,
-            )
-            rest = sparse_det(
-                [{c - k: v for c, v in row.items() if c >= k}
-                 for row in rows[k:]],
-                args.prime,
-            )
-            if whole != top * rest % args.prime:
-                product_ok = False
-                detail = f"draw {draw}: {whole} != {top}*{rest} mod p"
-                break
-        structural.append(("block-determinant-product", product_ok, detail))
+        quotient = verify_quotient(
+            sys_, args.prime, args.trials, args.seed,
+            h_full=full, greedy_points=closure,
+        )
+        failure = quotient.product_failure
+        structural.append(("block-determinant-product", failure is None, failure or ""))
     else:
         print(
             f"matrix-level checks skipped: |B|={b_size} exceeds "
@@ -359,12 +340,7 @@ def cmd_verify(sys_, args) -> int:
 
     audit = _degree_audit(sys_) if not multi else None
 
-    quotient = None
     if gated:
-        quotient = verify_quotient(
-            sys_, args.prime, args.trials, args.seed,
-            h_full=full, greedy_points=closure,
-        )
         print(quotient.text())
     else:
         print(

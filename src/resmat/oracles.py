@@ -344,6 +344,11 @@ class QuotientReport:
 
     Singular draws of the greedy principal minor are retried and then
     recorded as incidents, never as check failures.
+
+    Each trial's final draw also tests det H = det H_G * det H_RR, with H_RR
+    the trailing non-greedy block of H.  Its first failure is kept in
+    product_failure, outside ok and to_dict: verify reports it as the
+    structural check block-determinant-product.
     """
 
     kind: str
@@ -357,6 +362,7 @@ class QuotientReport:
     singular: list[dict] = field(default_factory=list)
     skipped: dict[str, str] = field(default_factory=dict)
     e_sign: int | None = None
+    product_failure: str | None = None
 
     @property
     def ok(self) -> bool:
@@ -411,7 +417,9 @@ class QuotientReport:
         return "\n".join(lines)
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "ok": self.ok}
+        out = asdict(self)
+        del out["product_failure"]
+        return {**out, "ok": self.ok}
 
 
 def verify_quotient(
@@ -469,29 +477,36 @@ def verify_quotient(
     if multi:
         report.skipped["e"] = "reflected orientation applies to box systems only"
 
+    k = sum(h_full.greedy_flags)
+    if k != h_greedy.size:
+        report.product_failure = f"H has {k} greedy rows, H_G has {h_greedy.size}"
     for trial in range(trials):
-        coeffs = None
         for attempt in range(3):
-            rng = random.Random(f"{seed}:{trial}:{attempt}")
-            candidate = draw_coefficients(sys_, rng, p)
-            det_eg = det(e_greedy, candidate)
+            draw = f"{seed}:{trial}:{attempt}"
+            coeffs = draw_coefficients(sys_, random.Random(draw), p)
+            det_eg = det(e_greedy, coeffs)
             if det_eg != 0:
-                coeffs = candidate
                 break
-            report.singular.append(
-                {"trial": trial, "attempt": attempt,
-                 "seed": f"{seed}:{trial}:{attempt}"}
-            )
-        if coeffs is None:
-            report._record("a", False, trial,
-                           "det E_G stayed zero after 3 attempts")
-            continue
-        report._record("a", True, trial, "")
+            report.singular.append({"trial": trial, "attempt": attempt, "seed": draw})
+        report._record("a", det_eg != 0, trial,
+                       "det E_G stayed zero after 3 attempts")
 
+        # H is block lower triangular with H_G leading (block-triangular)
+        h_rows = specialize_rows(h_full, coeffs, p)
+        det_h = sparse_det(h_rows, p)
         det_hg = det(h_greedy, coeffs)
-        report._record("b", det_hg != 0, trial, "det H_G = 0")
+        if k == h_greedy.size:
+            det_rr = sparse_det(
+                [{c - k: v for c, v in row.items() if c >= k} for row in h_rows[k:]], p
+            )
+            if det_h != det_hg * det_rr % p and report.product_failure is None:
+                report.product_failure = (
+                    f"trial {trial}: {det_h} != {det_hg}*{det_rr} mod p"
+                )
+        if det_eg == 0:
+            continue
 
-        det_h = det(h_full, coeffs)
+        report._record("b", det_hg != 0, trial, "det H_G = 0")
         det_e = det(e_full, coeffs)
 
         if sys_.n == 1:

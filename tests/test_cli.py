@@ -4,9 +4,10 @@ from pathlib import Path
 
 import pytest
 
-from resmat import cli
+from resmat import cli, oracles
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
+BENCH_SPECS = SPECS.parent / "bench" / "specs"
 UNIT2_SPEC = str(SPECS / "zonotope_n2_unit.json")
 TRI_SPEC = str(SPECS / "multihomo_221.json")
 
@@ -226,6 +227,82 @@ class TestMatrixBytes:
     def test_every_spec_is_pinned(self):
         pinned = {spec for spec, _ in MATRIX_SHA256}
         assert {p.stem for p in SPECS.glob("*.json")} <= pinned
+
+
+# SHA-256 of `resmat verify` stdout and the exit code.  The small primes pin
+# a known false failure: det H_G or det E_G vanishes by chance at p = 3, 7.
+VERIFY_SHA256 = {
+    ("zonotope_n2_unit",): ("67b74b7622f80b8202569c4f233d766ed4010912d98e0984dd2f390c900de45c", 0),
+    ("zonotope_n2_unit", "--prime", "3"): ("ec226532ebdb0372653e90af1763e75be7d345e756173ef77a79e2e051d9ee41", 3),
+    ("zonotope_n2_unit", "--prime", "7"): ("4ed744fcc79d4e7f9e4f7cc88e5ae957dd6e5aaed1daedfad234972f2404f02f", 3),
+    ("multihomo_221",): ("6d7074b35fd6498c00e3cf0f9fae4640107aae8a3085d79d504a3081532913d9", 0),
+    ("multihomo_221", "--prime", "3"): ("4a44cbf3fdc7b715e5570f6cc3ed2e43c5499be44f9d22f35836db3b4a7f9266", 3),
+    ("multihomo_221", "--prime", "7"): ("629815b2aa5d4220c46308935055a635f5a3ef0c6a5d7632f38e19b1422e06f8", 3),
+    ("bench/box_n3_222", "--trials", "2", "--quotient-limit", "512"):
+        ("af879669eb380c4d4cf00bd0cb66f24c11a578aa0e00a7b3ccdb8119f3c1d497", 0),
+    ("bench/multihomo_21_d2", "--trials", "10", "--quotient-limit", "512", "--seed", "1"):
+        ("9f828a927cd0c55ed6a1821ab3ca06244587c4705f714f0bacbc8026a3a1b78c", 0),
+}
+
+
+class TestVerifyBytes:
+    @pytest.mark.parametrize("case", sorted(VERIFY_SHA256), ids=" ".join)
+    def test_pinned_sha256(self, case, capsysbinary):
+        spec, *flags = case
+        if spec.startswith("bench/"):
+            path = BENCH_SPECS / f"{spec.removeprefix('bench/')}.json"
+        else:
+            path = SPECS / f"{spec}.json"
+        code = cli.main(["verify", str(path), *flags])
+        captured = capsysbinary.readouterr()
+        assert captured.err == b""
+        assert (hashlib.sha256(captured.out).hexdigest(), code) == VERIFY_SHA256[case]
+
+
+@pytest.fixture
+def skewed_trailing_block(monkeypatch):
+    """sparse_det off by one on every matrix that specialize_rows did not
+    build.  In verify that is H_RR, the trailing non-greedy block of H; the
+    returned list collects the size of each such pass."""
+    specialized, passes = [], []
+    real_rows, real_det = oracles.specialize_rows, oracles.sparse_det
+
+    def rows(m, coeffs, p):
+        specialized.append(real_rows(m, coeffs, p))
+        return specialized[-1]
+
+    def det(rows, p):
+        if any(rows is s for s in specialized):
+            return real_det(rows, p)
+        passes.append(len(rows))
+        return (real_det(rows, p) + 1) % p
+
+    monkeypatch.setattr(oracles, "specialize_rows", rows)
+    monkeypatch.setattr(oracles, "sparse_det", det)
+    return passes
+
+
+class TestBlockDeterminantProduct:
+    @pytest.mark.parametrize("spec", [UNIT2_SPEC, TRI_SPEC], ids=lambda s: Path(s).stem)
+    def test_wrong_trailing_block_fails(self, spec, skewed_trailing_block, capsys):
+        assert cli.main(["verify", spec]) == 3
+        out = capsys.readouterr().out
+        assert "structural check block-determinant-product: FAIL (trial 0: " in out
+        summary = json.loads(out.rsplit("SUMMARY ", 1)[1])
+        assert summary["structural"]["block-determinant-product"] is False
+        assert summary["quotient"]["ok"] is True
+        # one H_RR pass per trial, 50 trials by default, on the 1x1 block
+        assert skewed_trailing_block == [1] * 50
+
+    def test_runs_on_trials_that_fail_check_a(self, skewed_trailing_block, capsys):
+        # at p = 2 and seed 10, det E_G vanishes on all three attempts of
+        # every trial; the product check still runs on each third attempt
+        argv = ["verify", UNIT2_SPEC, "--prime", "2", "--seed", "10", "--trials", "4"]
+        assert cli.main(argv) == 3
+        summary = json.loads(capsys.readouterr().out.rsplit("SUMMARY ", 1)[1])
+        failures = summary["quotient"]["failures"]
+        assert [(f["check"], f["trial"]) for f in failures] == [("a", t) for t in range(4)]
+        assert len(skewed_trailing_block) == 4
 
 
 class TestVerifyCommand:

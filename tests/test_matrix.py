@@ -1,4 +1,5 @@
 import gc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +30,7 @@ from resmat import (
     validate_multihomo,
     validate_zonotope,
 )
+from resmat.cli import load_system
 from resmat.greedy import is_greedy
 from resmat.multihomo import lattice_points_multi
 from resmat.subdivision import is_mixed, lattice_points, row_content_of, type_function_of
@@ -218,6 +220,39 @@ class TestRowsMatchColumnSupport:
     def test_ordered_multihomogeneous(self, sys_):
         check_rows(list(greedy_closure_multi(sys_)), sys_)
         check_rows(list(lattice_points_multi(sys_)), sys_)
+
+
+SPECS = sorted((Path(__file__).resolve().parents[1] / "specs").glob("*.json"))
+
+
+def check_leading_block(sys_):
+    """H_G is the leading block of H: verify's block-determinant-product
+    takes det H_G from the greedy build and det H_RR from H's trailing rows."""
+    multi = isinstance(sys_, MultiHomoSystem)
+    closure = greedy_closure_multi(sys_) if multi else greedy_closure(sys_)
+    points = lattice_points_multi(sys_) if multi else lattice_points(sys_)
+    full = build_matrix(list(points), sys_)
+    greedy = build_matrix(list(closure), sys_)
+    k = sum(full.greedy_flags)
+    assert greedy.size == k
+    assert greedy.points == full.points[:k]
+    assert greedy.rows == full.rows[:k]
+
+
+class TestGreedyIsLeadingBlock:
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda p: p.stem)
+    def test_specs(self, spec):
+        check_leading_block(load_system(str(spec))[0])
+
+    @settings(max_examples=25, deadline=None)
+    @given(ordered_boxes())
+    def test_ordered_boxes(self, sys_):
+        check_leading_block(sys_)
+
+    @settings(max_examples=25, deadline=None)
+    @given(ordered_multihomo())
+    def test_ordered_multihomogeneous(self, sys_):
+        check_leading_block(sys_)
 
 
 def per_point_witness(points, sys_, reflected=False):

@@ -190,6 +190,17 @@ class TestVerifyQuotient:
         assert d["passes"]["d"] == 3
         assert d["skipped"]["c"]
         assert "result: PASS" in rep.text()
+        # the product check is reported by verify as a structural check
+        assert rep.product_failure is None
+        assert "product_failure" not in d
+
+    def test_product_needs_greedy_leading_block(self):
+        # H_G built over every window point is not H's leading greedy block
+        s = validate_zonotope([[1, 1], [1, 1], [1, 1]])
+        points = list(lattice_points(s))
+        rep = verify_quotient(s, trials=1, h_full=build_matrix(points, s),
+                              greedy_points=points)
+        assert rep.product_failure == "H has 8 greedy rows, H_G has 9"
 
     def test_multihomo_skips_reflection(self):
         s = validate_multihomo((2,), [[2], [2], [1]])
@@ -208,6 +219,8 @@ class TestVerifyQuotient:
             assert "seed" in event and "trial" in event
         failed_checks = {f["check"] for f in rep.failures}
         assert failed_checks <= {"a", "b"}
+        # det H = det H_G * det H_RR holds on singular draws too
+        assert rep.product_failure is None
 
     def test_not_prime(self):
         s = validate_zonotope([[1], [1]])
