@@ -236,9 +236,8 @@ def cmd_matrix(sys_, args) -> int:
     return 0
 
 
-def _degree_audit(sys_: ZonotopeSystem) -> dict:
+def _degree_audit(sys_: ZonotopeSystem, vols: list[int]) -> dict:
     n = sys_.n
-    vols = [mixed_volume(sys_.bounds, i) for i in range(n + 1)]
     total = sum(vols)
     audit = {"total": total, "reference": None, "diverges": None}
     print(f"degree audit: per-polynomial mixed volumes {vols}, total {total}")
@@ -276,7 +275,10 @@ def cmd_verify(sys_, args) -> int:
 
     structural: list[tuple[str, bool, str]] = []
 
-    predicate = {b for _, cell in keyed_window(sys_).greedy_cells() for b in cell}
+    rows = engine.cell_table(sys_)
+    cell_total = sum(r[2] for r in rows)
+    cells = keyed_window(sys_).greedy_cells(rows)
+    predicate = {b for _, points in cells for b in points}
     structural.append(
         (
             "closure-equals-greedy-predicate",
@@ -284,10 +286,7 @@ def cmd_verify(sys_, args) -> int:
             f"closure {len(closure)} vs predicate {len(predicate)}",
         )
     )
-    structural.append(("no-escape", engine.no_escape(sys_), ""))
-
-    rows = engine.cell_table(sys_)
-    cell_total = sum(r[2] for r in rows)
+    structural.append(("no-escape", engine.no_escape(sys_, cells), ""))
     structural.append(
         (
             "cell-partition",
@@ -317,17 +316,8 @@ def cmd_verify(sys_, args) -> int:
     quotient = None
     gated = b_size <= args.quotient_limit
     if gated:
-        full = build_matrix(list(engine.points(sys_)), sys_)
-        flags = full.greedy_flags
-        tri_ok = all(flags[c] for row, f in zip(full.rows, flags) if f for c, _ in row)
-        structural.append(("block-triangular", tri_ok, ""))
-
-        quotient = verify_quotient(
-            sys_, args.prime, args.trials, args.seed,
-            h_full=full, greedy_points=closure,
-        )
-        failure = quotient.product_failure
-        structural.append(("block-determinant-product", failure is None, failure or ""))
+        quotient = verify_quotient(sys_, args.prime, args.trials, args.seed)
+        structural += quotient.block_checks
     else:
         print(
             f"matrix-level checks skipped: |B|={b_size} exceeds "
@@ -338,7 +328,7 @@ def cmd_verify(sys_, args) -> int:
         suffix = f" ({detail})" if detail and not ok else ""
         print(f"structural check {name}: {'PASS' if ok else 'FAIL'}{suffix}")
 
-    audit = _degree_audit(sys_) if not multi else None
+    audit = _degree_audit(sys_, vols) if not multi else None
 
     if gated:
         print(quotient.text())

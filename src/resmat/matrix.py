@@ -131,7 +131,7 @@ def build_matrix(
     rows = []
     for key, (b, w, (_, _, rec)) in zip(pos, ordered):
         found = list(map(pos.get, map(key.__add__, rec[1])))
-        if not window.fits(w, rec) or None in found:
+        if None in found:
             raise _not_closed(b, rec[0], sys_, {d[0] for d in ordered})
         pairs = zip(found, window.labels[rec[0].poly])
         rows.append(tuple(sorted(pairs, key=itemgetter(0))))

@@ -29,7 +29,7 @@ from operator import sub
 from typing import Iterator, Sequence
 
 from .errors import BadShape, InvariantViolated, PointOutOfRange
-from .greedy import CellRow, KeyedWindow, greedy_cells_closed
+from .greedy import CellRow, GreedyCell, KeyedWindow, greedy_cells_closed
 from .subdivision import reflect_point
 from .systems import (
     MultiHomoSystem,
@@ -165,12 +165,12 @@ def keyed_window(
 
 def greedy_closure_multi(sys_: MultiHomoSystem) -> dict[Point, RowContent]:
     """Close the mixed multihomogeneous points under column supports."""
-    return dict(sorted(keyed_window(sys_).closure().items()))
+    return keyed_window(sys_).closure()
 
 
-def check_no_escape_multi(sys_: MultiHomoSystem) -> bool:
+def check_no_escape_multi(sys_: MultiHomoSystem, cells: list[GreedyCell]) -> bool:
     """Column supports of greedy points stay greedy and inside the window."""
-    return greedy_cells_closed(sys_, keyed_window(sys_))
+    return greedy_cells_closed(sys_, cells)
 
 
 def predicted_size_multihomo(sys_: MultiHomoSystem) -> int:

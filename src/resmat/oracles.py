@@ -18,14 +18,14 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import asdict, dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import BadShape, NotPrime, ResmatError
 from .greedy import greedy_closure
 from .matrix import SymbolicMatrix, build_matrix, principal_submatrix
 from .multihomo import greedy_closure_multi, lattice_points_multi
 from .subdivision import lattice_points
-from .systems import CoeffRef, MultiHomoSystem, Point, ZonotopeSystem
+from .systems import CoeffRef, MultiHomoSystem, ZonotopeSystem
 
 DEFAULT_PRIME = 2147483647  # 2^31 - 1
 
@@ -346,9 +346,10 @@ class QuotientReport:
     recorded as incidents, never as check failures.
 
     Each trial's final draw also tests det H = det H_G * det H_RR, with H_RR
-    the trailing non-greedy block of H.  Its first failure is kept in
-    product_failure, outside ok and to_dict: verify reports it as the
-    structural check block-determinant-product.
+    the trailing non-greedy block of H; block-triangular (greedy rows of H
+    touch only greedy columns) implies it.  block_checks holds both checks
+    as (name, passed, detail), outside ok and to_dict: verify reports them
+    as structural checks.
     """
 
     kind: str
@@ -362,7 +363,7 @@ class QuotientReport:
     singular: list[dict] = field(default_factory=list)
     skipped: dict[str, str] = field(default_factory=dict)
     e_sign: int | None = None
-    product_failure: str | None = None
+    block_checks: list[tuple[str, bool, str]] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -418,7 +419,7 @@ class QuotientReport:
 
     def to_dict(self) -> dict:
         out = asdict(self)
-        del out["product_failure"]
+        del out["block_checks"]
         return {**out, "ok": self.ok}
 
 
@@ -427,34 +428,27 @@ def verify_quotient(
     p: int = DEFAULT_PRIME,
     trials: int = 50,
     seed: int = 0,
-    *,
-    h_full: SymbolicMatrix | None = None,
-    greedy_points: Iterable[Point] | None = None,
 ) -> QuotientReport:
     """Randomized identity testing of the determinant-quotient formula.
 
     Per trial, every coefficient label gets a fresh uniform value mod p and
     the checks listed on QuotientReport run.  Draws are deterministic in
     (seed, trial, attempt), so failures are reproducible from the report.
-    Pass h_full and greedy_points when they are built already.
     """
     _require_prime(p)
     if trials < 1:
         raise ResmatError(f"trials must be at least 1, got {trials}")
     multi = isinstance(sys_, MultiHomoSystem)
-    if h_full is None:
-        full = lattice_points_multi(sys_) if multi else lattice_points(sys_)
-        h_full = build_matrix(full, sys_)
-    if greedy_points is None:
-        greedy_points = greedy_closure_multi(sys_) if multi else greedy_closure(sys_)
-    e_full = principal_submatrix(h_full)
-    h_greedy = build_matrix(greedy_points, sys_)
-    e_greedy = principal_submatrix(h_greedy)
     if multi:
+        h_full = build_matrix(lattice_points_multi(sys_), sys_)
+        h_greedy = build_matrix(greedy_closure_multi(sys_), sys_)
         h_refl = e_refl = None
     else:
+        h_full = build_matrix(lattice_points(sys_), sys_)
+        h_greedy = build_matrix(greedy_closure(sys_), sys_)
         h_refl = build_matrix(h_full.points, sys_, reflected=True)
         e_refl = principal_submatrix(h_refl)
+    e_full, e_greedy = principal_submatrix(h_full), principal_submatrix(h_greedy)
 
     def det(m: SymbolicMatrix, coeffs: dict[CoeffRef, int]) -> int:
         return sparse_det(specialize_rows(m, coeffs, p), p)
@@ -477,9 +471,12 @@ def verify_quotient(
     if multi:
         report.skipped["e"] = "reflected orientation applies to box systems only"
 
-    k = sum(h_full.greedy_flags)
-    if k != h_greedy.size:
-        report.product_failure = f"H has {k} greedy rows, H_G has {h_greedy.size}"
+    # greedy rows touch only greedy columns, so H_G leads a block triangular H
+    flags = h_full.greedy_flags
+    greedy_rows = (row for row, f in zip(h_full.rows, flags) if f)
+    triangular = all(flags[c] for row in greedy_rows for c, _ in row)
+    k, m = sum(flags), h_greedy.size
+    product = None if k == m else f"H has {k} greedy rows, H_G has {m}"
     for trial in range(trials):
         for attempt in range(3):
             draw = f"{seed}:{trial}:{attempt}"
@@ -491,18 +488,16 @@ def verify_quotient(
         report._record("a", det_eg != 0, trial,
                        "det E_G stayed zero after 3 attempts")
 
-        # H is block lower triangular with H_G leading (block-triangular)
+        # det H = det H_G * det H_RR when H is block triangular
         h_rows = specialize_rows(h_full, coeffs, p)
         det_h = sparse_det(h_rows, p)
         det_hg = det(h_greedy, coeffs)
-        if k == h_greedy.size:
+        if k == m:
             det_rr = sparse_det(
                 [{c - k: v for c, v in row.items() if c >= k} for row in h_rows[k:]], p
             )
-            if det_h != det_hg * det_rr % p and report.product_failure is None:
-                report.product_failure = (
-                    f"trial {trial}: {det_h} != {det_hg}*{det_rr} mod p"
-                )
+            if det_h != det_hg * det_rr % p and product is None:
+                product = f"trial {trial}: {det_h} != {det_hg}*{det_rr} mod p"
         if det_eg == 0:
             continue
 
@@ -548,4 +543,8 @@ def verify_quotient(
                     f"reflected quotient differs beyond sign: "
                     f"{lhs} vs +/-{rhs}",
                 )
+    report.block_checks = [
+        ("block-triangular", triangular, ""),
+        ("block-determinant-product", product is None, product or ""),
+    ]
     return report

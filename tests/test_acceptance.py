@@ -25,7 +25,7 @@ from resmat import (
     validate_zonotope,
     verify_quotient,
 )
-from resmat.greedy import cell_table, check_no_escape, is_greedy
+from resmat.greedy import KeyedWindow, cell_table, check_no_escape, is_greedy
 from resmat.multihomo import cell_table_multi
 from resmat.oracles import mixed_volume
 from resmat.subdivision import is_mixed, lattice_points, type_function_of
@@ -100,9 +100,8 @@ def test_criterion_4_theorem_suite_random_family(system_family):
         predicate = {b for b in lattice_points(s) if is_greedy(tv(b))}
         assert set(closure) == predicate
 
-        assert check_no_escape(s)
-
         table = cell_table(s)
+        assert check_no_escape(s, KeyedWindow(s).greedy_cells(table))
         assert sum(r[2] for r in table) == s.lattice_size()
 
         mixed_by_i = {}
@@ -171,7 +170,8 @@ def test_criterion_7_degree_audit():
     # the oracle agrees with the published table at n=2,3 and the audit
     # must flag the published 360 / 3720 at n=4,5 instead of matching them
     for n, diverges in ((2, False), (3, False), (4, True), (5, True)):
-        audit = cli._degree_audit(all_ones(n))
+        s = all_ones(n)
+        audit = cli._degree_audit(s, [mixed_volume(s.bounds, i) for i in range(n + 1)])
         assert audit["reference"] is not None
         assert audit["diverges"] is diverges
         if diverges:

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from resmat import cli, oracles
+from resmat.greedy import KeyedWindow
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 BENCH_SPECS = SPECS.parent / "bench" / "specs"
@@ -345,6 +346,41 @@ class TestVerifyCommand:
         summary = json.loads(capsys.readouterr().out.rsplit("SUMMARY ", 1)[1])
         assert summary["structural"]["closure-equals-greedy-predicate"] is False
         assert summary["structural"]["no-escape"] is True
+
+    @pytest.mark.parametrize(
+        "spec",
+        [*map(str, sorted(SPECS.glob("*.json"))), str(BENCH_SPECS / "box_n5_unit.json")],
+        ids=lambda s: Path(s).stem,
+    )
+    def test_one_cell_walk(self, spec, monkeypatch, capsys):
+        # the three cell checks share one cell table
+        walks = []
+        real = KeyedWindow.cells
+
+        def counted(window):
+            walks.append(window)
+            yield from real(window)
+
+        monkeypatch.setattr(KeyedWindow, "cells", counted)
+        assert cli.main(["verify", spec]) == 0
+        assert len(walks) == 1
+
+    def test_mixed_volumes_once(self, tmp_path, monkeypatch, capsys):
+        # the degree audit reuses the volumes of mixed-count-vs-mixed-volume
+        bounds = [[1, 1], [2, 1], [2, 3]]
+        spec = write_spec(tmp_path, "s.json", {"kind": "zonotope", "bounds": bounds})
+        calls = []
+        real = cli.mixed_volume
+
+        def counted(b, i):
+            calls.append(i)
+            return real(b, i)
+
+        monkeypatch.setattr(cli, "mixed_volume", counted)
+        assert cli.main(["verify", spec, "--quotient-limit", "0"]) == 0
+        assert calls == [0, 1, 2]
+        out = capsys.readouterr().out
+        assert "degree audit: per-polynomial mixed volumes [8, 5, 3], total 16" in out
 
     def test_quotient_gating(self, capsys):
         code = cli.main(

@@ -2,7 +2,7 @@ from itertools import product
 
 from pointwise import cell_points
 from resmat import greedy_closure, predicted_size_zonotope, validate_zonotope
-from resmat.greedy import cell_table, check_no_escape, is_greedy
+from resmat.greedy import KeyedWindow, cell_table, check_no_escape, is_greedy
 from resmat.subdivision import is_mixed, lattice_points, row_content_of, type_function_of
 from resmat.systems import type_vector_of
 
@@ -77,7 +77,8 @@ class TestGreedyClosure:
 class TestNoEscape:
     def test_family(self, system_family):
         for sys_ in system_family:
-            assert check_no_escape(sys_)
+            cells = KeyedWindow(sys_).greedy_cells(cell_table(sys_))
+            assert check_no_escape(sys_, cells)
 
 
 class TestCellTable:

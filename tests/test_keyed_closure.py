@@ -167,9 +167,14 @@ class TestSizeProgramMatchesCellSum:
         assert predicted_size_multihomo(sys_) == total
 
 
-def walk_predicate(window):
-    """The greedy points, as the union of the greedy-cell walk."""
-    return {b for _, points in window.greedy_cells() for b in points}
+def greedy_cells(window):
+    """The nonempty greedy cells with their points, from one cell walk."""
+    return window.greedy_cells(window.cells())
+
+
+def walk_predicate(cells):
+    """The greedy points, as the union of the greedy cells' points."""
+    return {b for _, points in cells for b in points}
 
 
 class TestGreedyCellWalk:
@@ -178,37 +183,57 @@ class TestGreedyCellWalk:
     @settings(max_examples=30, deadline=None)
     @given(box_systems(ordered=True))
     def test_ordered_boxes(self, sys_):
-        assert walk_predicate(KeyedWindow(sys_)) == pointwise.greedy_points(sys_)
-        assert check_no_escape(sys_) is pointwise.no_escape(sys_) is True
+        cells = greedy_cells(KeyedWindow(sys_))
+        assert walk_predicate(cells) == pointwise.greedy_points(sys_)
+        assert check_no_escape(sys_, cells) is pointwise.no_escape(sys_) is True
 
     @settings(max_examples=30, deadline=None)
     @given(multi_systems())
     def test_ordered_multihomogeneous(self, sys_):
-        window = keyed_window(sys_)
-        assert walk_predicate(window) == pointwise.greedy_points(sys_)
-        assert all(points for _, points in window.greedy_cells())
-        assert check_no_escape_multi(sys_) is pointwise.no_escape(sys_) is True
+        cells = greedy_cells(keyed_window(sys_))
+        assert walk_predicate(cells) == pointwise.greedy_points(sys_)
+        assert all(points for _, points in cells)
+        assert check_no_escape_multi(sys_, cells) is pointwise.no_escape(sys_) is True
 
     @settings(max_examples=40, deadline=None)
     @given(box_systems(ordered=False))
     def test_unordered_boxes(self, sys_):
-        assert walk_predicate(KeyedWindow(sys_)) == pointwise.greedy_points(sys_)
-        assert check_no_escape(sys_) is pointwise.no_escape(sys_)
+        cells = greedy_cells(KeyedWindow(sys_))
+        assert walk_predicate(cells) == pointwise.greedy_points(sys_)
+        assert check_no_escape(sys_, cells) is pointwise.no_escape(sys_)
 
     def test_unordered_boxes_can_escape(self):
         # every 2-variable box system with bounds in {1, 2}; some escape
         verdicts = []
         for flat in product((1, 2), repeat=6):
             sys_ = ZonotopeSystem((flat[0:2], flat[2:4], flat[4:6]))
-            verdicts.append(check_no_escape(sys_))
+            verdicts.append(check_no_escape(sys_, greedy_cells(KeyedWindow(sys_))))
             assert verdicts[-1] is pointwise.no_escape(sys_)
         assert True in verdicts and False in verdicts
 
     def test_content_and_points_per_cell(self):
         sys_ = ZonotopeSystem(((1, 2), (2, 2), (3, 1)))
-        for rc, points in KeyedWindow(sys_).greedy_cells():
+        for rc, points in greedy_cells(KeyedWindow(sys_)):
             assert points
             assert all(row_content_of(b, sys_) == rc for b in points)
+
+
+class TestRowsFitTheWindow:
+    """Every window point's row passes the closure's column-box test, so
+    build_matrix needs only the lookup of each column key."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(box_systems(ordered=False), st.booleans())
+    def test_boxes(self, sys_, reflected):
+        window = keyed_window(sys_, reflected)
+        assert all(window.fits(w, window.record(w)) for w in lattice_points(sys_))
+
+    @settings(max_examples=40, deadline=None)
+    @given(multi_systems())
+    def test_multihomogeneous(self, sys_):
+        window = keyed_window(sys_)
+        points = map(window.to_window, lattice_points_multi(sys_))
+        assert all(window.fits(w, window.record(w)) for w in points)
 
 
 class TestCellPoints:

@@ -22,6 +22,7 @@ from resmat.multihomo import (
     check_no_escape_multi,
     embed,
     is_valid_group_typefn,
+    keyed_window,
     lattice_points_multi,
 )
 from resmat.subdivision import lattice_points, type_function_of
@@ -202,7 +203,8 @@ class TestClosureMulti:
 
     def test_no_escape(self):
         for sys_ in (TRI, BI, MIXG):
-            assert check_no_escape_multi(sys_)
+            cells = keyed_window(sys_).greedy_cells(cell_table_multi(sys_))
+            assert check_no_escape_multi(sys_, cells)
 
     def test_excluded_point_of_worked_example(self):
         cl = greedy_closure_multi(TRI)

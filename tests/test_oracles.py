@@ -1,7 +1,9 @@
+import dataclasses
 import random
 
 import pytest
 
+from resmat import oracles
 from resmat import (
     BadShape,
     CoeffRef,
@@ -190,17 +192,44 @@ class TestVerifyQuotient:
         assert d["passes"]["d"] == 3
         assert d["skipped"]["c"]
         assert "result: PASS" in rep.text()
-        # the product check is reported by verify as a structural check
-        assert rep.product_failure is None
-        assert "product_failure" not in d
+        # the block checks are reported by verify as structural checks
+        assert rep.block_checks == [
+            ("block-triangular", True, ""), ("block-determinant-product", True, "")
+        ]
+        assert "block_checks" not in d
 
-    def test_product_needs_greedy_leading_block(self):
+    def test_product_needs_greedy_leading_block(self, monkeypatch):
         # H_G built over every window point is not H's leading greedy block
         s = validate_zonotope([[1, 1], [1, 1], [1, 1]])
-        points = list(lattice_points(s))
-        rep = verify_quotient(s, trials=1, h_full=build_matrix(points, s),
-                              greedy_points=points)
-        assert rep.product_failure == "H has 8 greedy rows, H_G has 9"
+        monkeypatch.setattr(oracles, "greedy_closure", lattice_points)
+        rep = verify_quotient(s, trials=1)
+        assert rep.block_checks == [
+            ("block-triangular", True, ""),
+            ("block-determinant-product", False, "H has 8 greedy rows, H_G has 9"),
+        ]
+
+    def test_triangular_fails_on_a_non_greedy_row_flagged_greedy(self, monkeypatch):
+        # the first non-greedy row of H reaches a non-greedy column other
+        # than its own; flagged greedy, it breaks the block structure
+        s = validate_zonotope([[2, 2], [2, 2], [1, 1]])
+        real = oracles.build_matrix
+
+        def flag_first_non_greedy_row(points, sys_, reflected=False):
+            m = real(points, sys_, reflected)
+            if m.size < sys_.lattice_size() or reflected:
+                return m
+            flags = list(m.greedy_flags)
+            flags[flags.index(False)] = True
+            return dataclasses.replace(m, greedy_flags=tuple(flags))
+
+        monkeypatch.setattr(oracles, "build_matrix", flag_first_non_greedy_row)
+        rep = verify_quotient(s, trials=2)
+        assert rep.block_checks == [
+            ("block-triangular", False, ""),
+            ("block-determinant-product", False, "H has 22 greedy rows, H_G has 21"),
+        ]
+        # checks a-e do not read the flags
+        assert rep.ok and rep.passes["d"] == 2
 
     def test_multihomo_skips_reflection(self):
         s = validate_multihomo((2,), [[2], [2], [1]])
@@ -220,7 +249,7 @@ class TestVerifyQuotient:
         failed_checks = {f["check"] for f in rep.failures}
         assert failed_checks <= {"a", "b"}
         # det H = det H_G * det H_RR holds on singular draws too
-        assert rep.product_failure is None
+        assert rep.block_checks[1] == ("block-determinant-product", True, "")
 
     def test_not_prime(self):
         s = validate_zonotope([[1], [1]])
