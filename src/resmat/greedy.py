@@ -19,10 +19,9 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from functools import cached_property, reduce
-from itertools import (
-    accumulate, chain, combinations_with_replacement, permutations, product
-)
-from operator import add, ge, getitem, le, mul, or_, sub
+from itertools import (accumulate, chain, combinations, combinations_with_replacement,
+                       groupby, permutations, product)
+from operator import add, ge, getitem, le, lt, mul, or_, sub
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import PointOutOfRange
@@ -86,31 +85,45 @@ class KeyedWindow:
             for col in zip(*zsys.bounds)
         )
         self._full = (1 << (n + 1)) - 1
+        self._parts: dict[tuple, list[Point]] = {}
         self._lows = [tuple(p[i] for p in zsys.column_prefixes) for i in range(n + 1)]
-        # per polynomial, its support images: per block, nondecreasing in [0, bound]
-        self.images = [
-            [sum(parts, ()) for parts in product(*(
-                combinations_with_replacement(range(row[a] + 1), b - a)
-                for a, b in self.blocks))]
-            for row in zsys.bounds
-        ]
+        # per polynomial and block, the image parts: nondecreasing in [0, bound]
+        parts = [[list(combinations_with_replacement(range(row[a] + 1), b - a))
+                  for a, b in self.blocks] for row in zsys.bounds]
+        # the support images are the parts' product; a key is linear, so an
+        # image's key is the sum of one part offset per block
+        self.images = [[sum(ps, ()) for ps in product(*row)] for row in parts]
+        self.offsets = [
+            [[self.key(p, a) for p in ps] for (a, _), ps in zip(self.blocks, row)]
+            for row in parts]
         self._records: dict[tuple, tuple] = {}
 
-    def key(self, w: Sequence[int]) -> int:
-        return sum(map(mul, w, self.strides))
+    def key(self, w: Sequence[int], start: int = 0) -> int:
+        """Key of w, or of a part w placed at coordinates start, start + 1, ..."""
+        return sum(map(mul, w, self.strides[start:]))
 
     def coords(self, key: int) -> list[int]:
         return [key // s % t for s, t in zip(self.strides, self.totals)]
 
-    def cell_points(self, phi: Sequence[int]) -> Iterator[Point]:
+    def cell_points(self, phi: TypeFunction) -> Iterator[Point]:
         """Window points of the cell phi, in key order.
 
-        The cell is a box of intervals; a point is kept only when it strictly
-        increases inside each block.
+        phi is nondecreasing inside each block.  A run of m equal values v
+        from coordinate k takes the m-subsets of v's interval at k, a block
+        the increasing products of its runs, the cell the product of blocks.
         """
-        prefixes, steps = self.zsys.column_prefixes, self.steps
-        box = product(*(range(p[v], p[v + 1]) for p, v in zip(prefixes, phi)))
-        return (w for w in box if all(w[k - 1] < w[k] for k in steps))
+        prefixes, parts = self.zsys.column_prefixes, []
+        for a, b in self.blocks:
+            if (seg := (a, phi[a:b])) not in self._parts:
+                runs = []
+                for v, ks in groupby(range(a, b), phi.__getitem__):
+                    k, m = next(ks), 1 + sum(1 for _ in ks)
+                    runs.append(combinations(range(*prefixes[k][v : v + 2]), m))
+                # drops nothing where the block's coordinates share intervals
+                block = [sum(r, ()) for r in product(*runs)]
+                self._parts[seg] = [w for w in block if all(map(lt, w, w[1:]))]
+            parts.append(self._parts[seg])
+        return map(tuple, map(chain.from_iterable, product(*parts)))
 
     def mixed_window_points(self) -> Iterator[Point]:
         """Window points of the (n+1)! mixed cells, cell by cell.
@@ -128,8 +141,7 @@ class KeyedWindow:
         # the largest type whose count is zero, so no coordinate has type i
         i = (self._full & ~used).bit_length() - 1
         above = tuple(map(ge, w, self._lows[i]))
-        rec = self._records.get((i, above))
-        if rec is None:
+        if (rec := self._records.get((i, above))) is None:
             rec = self._records[i, above] = self._record(i, above)
         return rec
 
@@ -140,7 +152,7 @@ class KeyedWindow:
         return [[CoeffRef(i, pre(i, v)) for v in vs] for i, vs in images]
 
     def _record(self, i: int, above: tuple[bool, ...]) -> tuple:
-        """Content, column deltas, vertex, hi and steps of a row."""
+        """Content, column deltas, vertex, hi, steps and vertex key of a row."""
         bounds = self.zsys.bounds[i]
         vertex = [a if up else 0 for a, up in zip(bounds, above)]
         rc = RowContent(i, self.preimage(i, vertex))
@@ -151,14 +163,14 @@ class KeyedWindow:
         # column keys relative to the row key: support image minus vertex
         voff = self.key(vertex)
         deltas = [self.key(img) - voff for img in self.images[i]]
-        return rc, deltas, vertex, hi, steps
+        return rc, deltas, vertex, hi, steps, voff
 
     @staticmethod
     def fits(w: Sequence[int], rec: tuple) -> bool:
         """Whether every column key of row w is the key of a window point."""
-        _, _, vertex, hi, steps = rec
-        return all(map(le, vertex, w)) and all(map(le, w, hi)) and all(
-            w[k] - w[k - 1] >= need for k, need in steps
+        vertex, hi, steps = rec[2:5]
+        return all(map(le, vertex, w)) and all(map(le, w, hi)) and (
+            not steps or all(w[k] - w[k - 1] >= need for k, need in steps)
         )
 
     def closure(self) -> dict[Point, RowContent]:
@@ -167,25 +179,43 @@ class KeyedWindow:
         Returns every reached point with its row content, keyed by caller
         point in sorted order.  Rows share one record per (polynomial,
         vertex); a row whose column set leaves the window raises PointOutOfRange.
+
+        It runs in rounds over key bitsets: a row's columns are its base (key
+        minus vertex key) plus one part offset per block, so a polynomial's
+        mask of frontier bases, shifted by each block's offsets in turn, holds
+        all their columns, and its unseen bits are the next frontier.
         """
         coords, record, fits = self.coords, self.record, self.fits
         from_window = self.from_window
+        width = self.zsys.lattice_size() // 8 + 1
         rows: dict[Point, RowContent] = {}
-        seen = set(map(self.key, self.mixed_window_points()))
-        todo = list(seen)
-        while todo:
-            key = todo.pop()
-            w = coords(key)
-            rec = record(w)
-            if not fits(w, rec):
-                raise PointOutOfRange(
-                    f"column support of row {from_window(w)} leaves the window"
-                )
-            rows[from_window(w)] = rec[0]
-            cols = [c for d in rec[1] if (c := key + d) not in seen]
-            seen.update(cols)
-            todo.extend(cols)
-        del seen  # free the key set before the sorted copy of the points
+        seeds = bytearray(width)
+        for key in map(self.key, self.mixed_window_points()):
+            seeds[key >> 3] |= 1 << (key & 7)
+        seen = fresh = int.from_bytes(seeds, "little")
+        while fresh:
+            bases = [bytearray(width) for _ in self.offsets]
+            bits = format(fresh, "b")[::-1]
+            key = bits.find("1")
+            while key >= 0:
+                w = coords(key)
+                rec = record(w)
+                if not fits(w, rec):
+                    raise PointOutOfRange(
+                        f"column support of row {from_window(w)} leaves the window"
+                    )
+                rows[from_window(w)] = rec[0]
+                base = key - rec[5]
+                bases[rec[0].poly][base >> 3] |= 1 << (base & 7)
+                key = bits.find("1", key + 1)
+            reached = 0
+            for base, offsets in zip(bases, self.offsets):
+                mask = int.from_bytes(base, "little")
+                for block in offsets:
+                    mask = reduce(or_, [mask << d for d in block])
+                reached |= mask
+            fresh = reached & ~seen
+            seen |= fresh
         return {b: rows[b] for b in sorted(rows)}
 
     def predicted_size(self) -> int:

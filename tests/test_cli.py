@@ -189,6 +189,38 @@ class TestMatrixCommand:
         assert code == 4
 
 
+# SHA-256 of `resmat sizes` stdout and the exit code, one per spec.
+SIZES_SHA256 = {
+    "zonotope_n2_unit": ("e609cdb0bf0cc84de629d7d40017df6c3b149067abd2171f10eb9f3f4c984d2c", 0),
+    "multihomo_221": ("e8de8d409fdc33982a24b2aef0379f7126f2aead7b1573cbf71f73303ef908db", 0),
+    "bench/box_n3_222": ("65155f32b65fdb87363b893f5ca3085b7bb29f1787317f09c078f513a6e350e2", 0),
+    "bench/box_n5_unit": ("e4ff77baa37c9cf1455021a09296d584765c5dd56678adf19fbfe3cc8db0e834", 0),
+    "bench/multihomo_21_d2":
+        ("c985753ebe96c902fa6277839ead068ae3bc8cd3729bf6c1430ba6a9bc625d60", 0),
+    "bench/multihomo_32_d2":
+        ("ca5ddfa983cf7652e43a28c7041fb165ca1925e571deb91e2d37f80176bc9590", 0),
+}
+
+
+def spec_path(spec):
+    """specs/<spec>.json, or bench/specs/<name>.json for 'bench/<name>'."""
+    if spec.startswith("bench/"):
+        return BENCH_SPECS / f"{spec.removeprefix('bench/')}.json"
+    return SPECS / f"{spec}.json"
+
+
+class TestSizesBytes:
+    @pytest.mark.parametrize("spec", sorted(SIZES_SHA256))
+    def test_pinned_sha256(self, spec, capsysbinary):
+        code = cli.main(["sizes", str(spec_path(spec))])
+        captured = capsysbinary.readouterr()
+        assert captured.err == b""
+        assert (hashlib.sha256(captured.out).hexdigest(), code) == SIZES_SHA256[spec]
+
+    def test_every_spec_is_pinned(self):
+        assert {p.stem for p in SPECS.glob("*.json")} <= set(SIZES_SHA256)
+
+
 # SHA-256 of `resmat matrix` stdout, one per spec and variant.
 MATRIX_VARIANTS = {
     "greedy": [],
@@ -250,11 +282,7 @@ class TestVerifyBytes:
     @pytest.mark.parametrize("case", sorted(VERIFY_SHA256), ids=" ".join)
     def test_pinned_sha256(self, case, capsysbinary):
         spec, *flags = case
-        if spec.startswith("bench/"):
-            path = BENCH_SPECS / f"{spec.removeprefix('bench/')}.json"
-        else:
-            path = SPECS / f"{spec}.json"
-        code = cli.main(["verify", str(path), *flags])
+        code = cli.main(["verify", str(spec_path(spec)), *flags])
         captured = capsysbinary.readouterr()
         assert captured.err == b""
         assert (hashlib.sha256(captured.out).hexdigest(), code) == VERIFY_SHA256[case]

@@ -124,6 +124,20 @@ class TestClosureMatchesTupleBFS:
         ref = multi_reference(sys_)
         assert list(cl.items()) == list(ref.items())
 
+    # the strategies draw boxes with n <= 3 only
+    @pytest.mark.parametrize("bounds", [
+        ((1, 1, 1, 1),) * 5,
+        ((1, 1, 1, 1), (1, 2, 1, 1), (2, 2, 1, 2), (2, 2, 2, 2), (1, 1, 3, 1)),
+    ], ids=["all-ones", "mixed-bounds"])
+    def test_boxes_n4(self, bounds):
+        sys_ = ZonotopeSystem(bounds)
+        assert list(greedy_closure(sys_).items()) == list(box_reference(sys_).items())
+
+    def test_multihomogeneous_groups_22(self):
+        sys_ = MultiHomoSystem((2, 2), ((1, 1), (1, 1), (1, 2), (2, 2), (2, 1)))
+        cl = greedy_closure_multi(sys_)
+        assert list(cl.items()) == list(multi_reference(sys_).items())
+
     @settings(max_examples=20, deadline=None)
     @given(multi_systems(ordered=False))
     def test_unordered_multihomogeneous_rejected_alike(self, sys_):
@@ -258,6 +272,7 @@ def check_cell_points(sys_, window, type_function):
     for phi, _, count, *_ in window.cells():
         points = list(window.cell_points(phi))
         assert len(points) == count
+        assert points == sorted(set(points))  # key order, no repeats
         assert all(type_function(w) == phi for w in points)
         total += count
     assert total == sys_.lattice_size()
@@ -274,11 +289,32 @@ class TestEscape:
         with pytest.raises(PointOutOfRange):
             window.closure()
 
+    @pytest.mark.parametrize("bounds, groups", [
+        (((1, 1), (1, 2), (1, 1)), (2,)),
+        (((1, 1, 1), (1, 1, 1), (1, 2, 1), (1, 1, 1)), (2, 1)),
+    ])
+    def test_reached_row_escapes(self, bounds, groups):
+        # every mixed seed fits, so the escaping row is one the search reached
+        window = KeyedWindow(ZonotopeSystem(bounds), groups)
+        seeds = list(window.mixed_window_points())
+        assert all(window.fits(w, window.record(w)) for w in seeds)
+        with pytest.raises(PointOutOfRange):
+            window.closure()
+
+    def test_escaping_row_is_named(self):
+        window = KeyedWindow(ZonotopeSystem(((1, 1), (1, 2), (1, 1))), (2,))
+        assert (2, 3) not in set(window.mixed_window_points())
+        with pytest.raises(PointOutOfRange, match=r"row \(2, 3\) leaves the window"):
+            window.closure()
+
     def test_escape_check_is_exact(self):
         # the O(n) test agrees with checking every column point
         for flat in product((1, 2), repeat=6):
             zsys = ZonotopeSystem((flat[0:2], flat[2:4], flat[4:6]))
             window = KeyedWindow(zsys, (2,))
+            # the block's coordinates can have different intervals, where a
+            # product of runs holds points that do not increase; none is a seed
+            assert all(w[0] < w[1] for w in window.mixed_window_points())
             try:
                 window.closure()
                 escaped = False
