@@ -36,6 +36,19 @@ CellRow = tuple[TypeFunction, tuple[int, ...], int, bool, bool, RowContent]
 GreedyCell = tuple[RowContent, list[Point]]
 
 
+# the closure's bitsets hold at most this many bits per window point
+_DENSE_BITS = 64
+
+
+def _bitsets(keys: Iterable[int], span: int) -> dict[int, int]:
+    """Keys hi * span + lo as {hi: bitset of their lo}, set through bytearrays."""
+    arrays: dict[int, bytearray] = defaultdict(lambda: bytearray(span // 8 + 1))
+    for key in keys:
+        hi, lo = divmod(key, span)
+        arrays[hi][lo >> 3] |= 1 << (lo & 7)
+    return {hi: int.from_bytes(a, "little") for hi, a in arrays.items()}
+
+
 def is_greedy(t: Sequence[int]) -> bool:
     """Prefix-sum test: t_0 + ... + t_I <= I + 1 for all I < n."""
     n = sum(t)
@@ -141,7 +154,8 @@ class KeyedWindow:
         # the largest type whose count is zero, so no coordinate has type i
         i = (self._full & ~used).bit_length() - 1
         above = tuple(map(ge, w, self._lows[i]))
-        if (rec := self._records.get((i, above))) is None:
+        rec = self._records.get((i, above))
+        if rec is None:
             rec = self._records[i, above] = self._record(i, above)
         return rec
 
@@ -152,7 +166,7 @@ class KeyedWindow:
         return [[CoeffRef(i, pre(i, v)) for v in vs] for i, vs in images]
 
     def _record(self, i: int, above: tuple[bool, ...]) -> tuple:
-        """Content, column deltas, vertex, hi, steps and vertex key of a row."""
+        """Content, column deltas, vertex, hi and steps of a row."""
         bounds = self.zsys.bounds[i]
         vertex = [a if up else 0 for a, up in zip(bounds, above)]
         rc = RowContent(i, self.preimage(i, vertex))
@@ -163,14 +177,14 @@ class KeyedWindow:
         # column keys relative to the row key: support image minus vertex
         voff = self.key(vertex)
         deltas = [self.key(img) - voff for img in self.images[i]]
-        return rc, deltas, vertex, hi, steps, voff
+        return rc, deltas, vertex, hi, steps
 
     @staticmethod
     def fits(w: Sequence[int], rec: tuple) -> bool:
         """Whether every column key of row w is the key of a window point."""
-        vertex, hi, steps = rec[2:5]
-        return all(map(le, vertex, w)) and all(map(le, w, hi)) and (
-            not steps or all(w[k] - w[k - 1] >= need for k, need in steps)
+        _, _, vertex, hi, steps = rec
+        return all(map(le, vertex, w)) and all(map(le, w, hi)) and all(
+            w[k] - w[k - 1] >= need for k, need in steps
         )
 
     def closure(self) -> dict[Point, RowContent]:
@@ -180,42 +194,57 @@ class KeyedWindow:
         point in sorted order.  Rows share one record per (polynomial,
         vertex); a row whose column set leaves the window raises PointOutOfRange.
 
-        It runs in rounds over key bitsets: a row's columns are its base (key
-        minus vertex key) plus one part offset per block, so a polynomial's
-        mask of frontier bases, shifted by each block's offsets in turn, holds
-        all their columns, and its unseen bits are the next frontier.
+        It runs in rounds over bitsets of keys: a polynomial's frontier bases
+        (key minus vertex key), moved by one part offset per block in turn,
+        reach every column of its rows, and the unseen ones are the next
+        frontier.  A key is hi * span + lo, a bit lo of the bitset at hi.
         """
         coords, record, fits = self.coords, self.record, self.fits
-        from_window = self.from_window
-        width = self.zsys.lattice_size() // 8 + 1
+        from_window, blocks, totals = self.from_window, self.blocks, self.totals
+
+        def spread(k: int) -> int:
+            """Window prefixes up to coordinate k, times the box from k on."""
+            ends = [(a, b, min(k, b)) for a, b in blocks if a < k]
+            return math.prod(totals[k:]) * math.prod(
+                math.comb(totals[a] - b + c, c - a) for a, b, c in ends)
+
+        # split where bitsets at every window prefix hold <= _DENSE_BITS bits per point
+        n = self.zsys.n
+        cut = next(k for k in range(n + 1) if spread(k) <= _DENSE_BITS * spread(n))
+        span = math.prod(totals[cut:])
+        # a part offset moves a key by (hi, lo); coordinates never carry
+        moves = [[[divmod(d, span) for d in ds] for ds in row] for row in self.offsets]
         rows: dict[Point, RowContent] = {}
-        seeds = bytearray(width)
-        for key in map(self.key, self.mixed_window_points()):
-            seeds[key >> 3] |= 1 << (key & 7)
-        seen = fresh = int.from_bytes(seeds, "little")
+        seen: dict[int, int] = {}
+        fresh = _bitsets(map(self.key, self.mixed_window_points()), span)
         while fresh:
-            bases = [bytearray(width) for _ in self.offsets]
-            bits = format(fresh, "b")[::-1]
-            key = bits.find("1")
-            while key >= 0:
-                w = coords(key)
-                rec = record(w)
-                if not fits(w, rec):
-                    raise PointOutOfRange(
-                        f"column support of row {from_window(w)} leaves the window"
-                    )
-                rows[from_window(w)] = rec[0]
-                base = key - rec[5]
-                bases[rec[0].poly][base >> 3] |= 1 << (base & 7)
-                key = bits.find("1", key + 1)
-            reached = 0
-            for base, offsets in zip(bases, self.offsets):
-                mask = int.from_bytes(base, "little")
-                for block in offsets:
-                    mask = reduce(or_, [mask << d for d in block])
-                reached |= mask
-            fresh = reached & ~seen
-            seen |= fresh
+            bases: list[list[int]] = [[] for _ in self.offsets]
+            for hi in sorted(fresh):
+                seen[hi] = seen.get(hi, 0) | fresh[hi]
+                bits, top = format(fresh[hi], "b")[::-1], hi * span
+                lo = bits.find("1")
+                while lo >= 0:
+                    w = coords(top + lo)
+                    rec = record(w)
+                    if not fits(w, rec):
+                        raise PointOutOfRange(
+                            f"column support of row {from_window(w)} leaves the window"
+                        )
+                    rows[from_window(w)] = rec[0]
+                    # the first support image is the origin: deltas[0] = -vertex key
+                    bases[rec[0].poly].append(top + lo + rec[1][0])
+                    lo = bits.find("1", lo + 1)
+            reached: dict[int, int] = defaultdict(int)
+            for keys, row in zip(bases, moves):
+                masks = _bitsets(keys, span)
+                for block in row:
+                    moved: dict[int, int] = defaultdict(int)
+                    for (h, m), (dh, dl) in product(masks.items(), block):
+                        moved[h + dh] |= m << dl
+                    masks = moved
+                for h, m in masks.items():
+                    reached[h] |= m
+            fresh = {h: f for h, m in reached.items() if (f := m & ~seen.get(h, 0))}
         return {b: rows[b] for b in sorted(rows)}
 
     def predicted_size(self) -> int:

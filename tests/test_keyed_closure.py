@@ -8,6 +8,7 @@ scan, against the closure, the size program and the greedy-cell walk.
 """
 
 import math
+import tracemalloc
 from collections import deque
 from itertools import product
 
@@ -32,6 +33,7 @@ from resmat import (
     predicted_size_multihomo,
     predicted_size_zonotope,
 )
+from resmat import greedy
 from resmat.greedy import KeyedWindow, check_no_escape
 from resmat.multihomo import check_no_escape_multi, keyed_window, lattice_points_multi
 from resmat.subdivision import is_mixed, lattice_points, row_content_of, type_function_of
@@ -276,6 +278,50 @@ def check_cell_points(sys_, window, type_function):
         assert all(type_function(w) == phi for w in points)
         total += count
     assert total == sys_.lattice_size()
+
+
+class TestBitsetSplit:
+    """The closure keeps a dict of bitsets; every split of the key is exact."""
+
+    @pytest.mark.parametrize("dense", [1, 4, 10**9], ids=["sparse", "split", "dense"])
+    @pytest.mark.parametrize("sys_", [
+        ZonotopeSystem(((1, 2, 1), (1, 2, 2), (2, 2, 3), (1, 3, 1))),
+        MultiHomoSystem((2, 2), ((1, 1), (1, 1), (1, 2), (2, 2), (2, 1))),
+        MultiHomoSystem((1, 3), ((1, 1), (1, 1), (2, 1), (2, 2), (1, 2))),
+        MultiHomoSystem((4,), ((2,),) * 5),
+    ], ids=["box", "groups-22", "groups-13", "group-4"])
+    def test_any_split_matches_reference(self, monkeypatch, dense, sys_):
+        boxed = isinstance(sys_, ZonotopeSystem)
+        ref = box_reference(sys_) if boxed else multi_reference(sys_)
+        monkeypatch.setattr(greedy, "_DENSE_BITS", dense)
+        window = keyed_window(sys_)
+        assert list(window.closure().items()) == list(ref.items())
+
+    @pytest.mark.parametrize("dense", [1, 4, 10**9], ids=["sparse", "split", "dense"])
+    def test_any_split_names_the_same_row(self, monkeypatch, dense):
+        monkeypatch.setattr(greedy, "_DENSE_BITS", dense)
+        window = KeyedWindow(ZonotopeSystem(((1, 1), (1, 2), (1, 1))), (2,))
+        with pytest.raises(PointOutOfRange, match=r"row \(2, 3\) leaves the window"):
+            window.closure()
+
+    def test_large_group_memory_follows_the_window(self):
+        # the embedded box holds 14^6 = 7.5M keys for 3,003 window points
+        sys_ = MultiHomoSystem((6,), ((2,),) * 7)
+        ref = multi_reference(sys_)
+        tracemalloc.start()
+        try:
+            cl = greedy_closure_multi(sys_)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert list(cl.items()) == list(ref.items())
+        assert peak < 1000 * sys_.lattice_size()
+
+    def test_group_of_eight(self):
+        # 43,758 window points in a box of 18^8 = 1.1e10 keys
+        sys_ = MultiHomoSystem((8,), ((2,),) * 9)
+        size = len(greedy_closure_multi(sys_))
+        assert size == predicted_size_multihomo(sys_) == 25194
 
 
 class TestEscape:
