@@ -20,7 +20,7 @@ import math
 from collections import defaultdict
 from functools import cached_property, reduce
 from itertools import (accumulate, chain, combinations, combinations_with_replacement,
-                       groupby, permutations, product)
+                       groupby, product)
 from operator import add, ge, getitem, le, lt, mul, or_, sub
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -139,14 +139,18 @@ class KeyedWindow:
         return map(tuple, map(chain.from_iterable, product(*parts)))
 
     def mixed_window_points(self) -> Iterator[Point]:
-        """Window points of the (n+1)! mixed cells, cell by cell.
+        """Window points of the mixed cells, cell by cell, in phi order.
 
         A mixed type function takes n distinct values; inside a block it must
-        increase, or its cell holds no window point.
+        increase, or its cell holds no window point.  So each block takes an
+        increasing set of the values that the blocks before it left unused.
         """
-        for phi in permutations(range(self.zsys.n + 1), self.zsys.n):
-            if all(phi[k - 1] < phi[k] for k in self.steps):
-                yield from self.cell_points(phi)
+        values = frozenset(range(self.zsys.n + 1))
+        phis: list[tuple[int, ...]] = [()]
+        for a, b in self.blocks:
+            phis = [phi + c for phi in phis
+                    for c in combinations(sorted(values.difference(phi)), b - a)]
+        return chain.from_iterable(map(self.cell_points, phis))
 
     def record(self, w: Sequence[int]) -> tuple:
         """The record shared by every row with w's polynomial and vertex."""

@@ -98,18 +98,16 @@ def _gc_paused(fn):
 
 @_gc_paused
 def build_matrix(
-    points: Iterable[Point],
-    sys_: ZonotopeSystem | MultiHomoSystem,
-    reflected: bool = False,
+    points: Iterable[Point], sys_: ZonotopeSystem | MultiHomoSystem
 ) -> SymbolicMatrix:
     """Assemble the symbolic matrix over a point set closed under columns.
 
     The set must contain every column point generated by its rows; the
-    first missing one aborts the build with a NotClosed witness pair.  Every
-    system kind and orientation runs on its keyed_window: each cell is
-    classified once, and a row's columns are its key plus its record's deltas.
+    first missing one aborts the build with a NotClosed witness pair.  Both
+    system kinds run on their keyed_window: each cell is classified once,
+    and a row's columns are its key plus its record's deltas.
     """
-    window = keyed_window(sys_, reflected)
+    window = keyed_window(sys_)
     n, tables = sys_.n, window.type_bits
     cells: dict[tuple[int, ...], tuple] = {}
     # greedy-mixed, then greedy, then the rest (a mixed point is greedy);
@@ -120,7 +118,7 @@ def build_matrix(
         cell = tuple(map(dict.get, tables, w))
         if len(b) != n or None in cell:
             # the error of the point a per-point classifier checks: b itself,
-            # reflected or not, or the embedded w of a grouped system
+            # or the embedded w of a grouped system
             _check_window(w if isinstance(sys_, MultiHomoSystem) else b, window.zsys)
         if (info := cells.get(cell)) is None:
             t = type_vector_of([bit.bit_length() - 1 for bit in cell], n)

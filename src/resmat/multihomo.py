@@ -23,14 +23,12 @@ every block.  No separate simplex subdivision code exists.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import accumulate, product
-from operator import sub
 from typing import Iterator, Sequence
 
 from .errors import BadShape, InvariantViolated, PointOutOfRange
 from .greedy import CellRow, GreedyCell, KeyedWindow, greedy_cells_closed
-from .subdivision import reflect_point
 from .systems import (
     MultiHomoSystem,
     Point,
@@ -142,25 +140,15 @@ def lattice_points_multi(sys_: MultiHomoSystem) -> Iterator[Point]:
         yield tuple(c for block in combo for c in block)
 
 
-def keyed_window(
-    sys_: ZonotopeSystem | MultiHomoSystem, reflected: bool = False
-) -> KeyedWindow:
+def keyed_window(sys_: ZonotopeSystem | MultiHomoSystem) -> KeyedWindow:
     """Integer-keyed window of a box system or of an embedded grouped system."""
     if isinstance(sys_, MultiHomoSystem):
-        if reflected:
-            raise ValueError("reflected orientation applies to box systems only")
         zsys, emb = embed(sys_)
         pre = emb.vertex_preimage
         return KeyedWindow(
             zsys, sys_.group_sizes, emb.from_window, lambda i, v: pre(v), emb.to_window
         )
-    if not reflected:
-        return KeyedWindow(sys_)
-    # as subdivision's reflected=True: b -> total - 1 - b, and a -> a_i - a back
-    flip = partial(reflect_point, sys_=sys_)
-    return KeyedWindow(
-        sys_, None, flip, lambda i, v: tuple(map(sub, sys_.bounds[i], v)), flip
-    )
+    return KeyedWindow(sys_)
 
 
 def greedy_closure_multi(sys_: MultiHomoSystem) -> dict[Point, RowContent]:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import asdict, dataclass, field
+from operator import sub
 from typing import Sequence
 
 from .errors import BadShape, NotPrime, ResmatError
@@ -340,7 +341,10 @@ class QuotientReport:
     the classical resultant, (d) the full and greedy quotients agree
     (compared cross-multiplied, so a singular full principal minor cannot
     produce a false alarm), (e) the reflected-orientation quotient agrees
-    with the canonical one up to one sign fixed per system.
+    with the canonical one up to one sign fixed per system.  The reflected
+    subdivision's matrices of a box system are H and E at the flipped draw
+    u[i][a] -> u[i][a_i - a], up to one permutation of rows and columns
+    (b -> total - 1 - b), so check e reads det H and det E at that draw.
 
     Singular draws of the greedy principal minor are retried and then
     recorded as incidents, never as check failures.
@@ -442,12 +446,9 @@ def verify_quotient(
     if multi:
         h_full = build_matrix(lattice_points_multi(sys_), sys_)
         h_greedy = build_matrix(greedy_closure_multi(sys_), sys_)
-        h_refl = e_refl = None
     else:
         h_full = build_matrix(lattice_points(sys_), sys_)
         h_greedy = build_matrix(greedy_closure(sys_), sys_)
-        h_refl = build_matrix(h_full.points, sys_, reflected=True)
-        e_refl = principal_submatrix(h_refl)
     e_full, e_greedy = principal_submatrix(h_full), principal_submatrix(h_greedy)
 
     def det(m: SymbolicMatrix, coeffs: dict[CoeffRef, int]) -> int:
@@ -522,8 +523,10 @@ def verify_quotient(
         )
 
         if not multi:
-            det_hr = det(h_refl, coeffs)
-            det_er = det(e_refl, coeffs)
+            # H_R(u) = P H(u_flip) P^T with u_flip[i][a] = u[i][a_i - a]
+            flip = {CoeffRef(i, tuple(map(sub, sys_.bounds[i], a))): v
+                    for (i, a), v in coeffs.items()}
+            det_hr, det_er = det(h_full, flip), det(e_full, flip)
             lhs = det_hr * det_e % p
             rhs = det_h * det_er % p
             if lhs == rhs and lhs == (p - rhs) % p:

@@ -9,13 +9,14 @@ ever materialized.
 
 type_function_of and row_content_of classify one point at a time.  The
 library classifies through greedy.KeyedWindow; these per-point functions
-are the reference it is tested against.  Both accept reflected=True, which
-computes the subdivision of the opposite orientation (the one induced by
-positive instead of negative lifting slopes).  A point is then classified by
-reflecting it coordinatewise through the window, b_j -> total_j - 1 - b_j,
-and the returned support vertex is flipped back through its box.  The
-reflected subdivision is used for cross-validation only.  _check_window
-gives the error of a point outside the window.
+are the reference it is tested against.  _check_window gives the error of a
+point outside the window.
+
+Only the subdivision of the negative orientation is computed.  The opposite
+orientation (positive lifting slopes) maps each point b to
+total - 1 - b and each support point a of polynomial i to a_i - a, so its
+matrices are these at the flipped coefficient draw; verify's check e reads
+them there.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from bisect import bisect_right
 from itertools import product
 from typing import Iterator, Sequence
 
-from .errors import BadShape, InvariantViolated, PointOutOfRange
+from .errors import BadShape, PointOutOfRange
 from .systems import Point, RowContent, TypeFunction, ZonotopeSystem, type_vector_of
 
 
@@ -38,27 +39,17 @@ def lattice_points(sys_: ZonotopeSystem) -> Iterator[Point]:
     return product(*(range(t) for t in sys_.column_totals))
 
 
-def reflect_point(b: Sequence[int], sys_: ZonotopeSystem) -> Point:
-    """Reflect a window point coordinatewise, b_j -> total_j - 1 - b_j."""
-    return tuple(t - 1 - c for c, t in zip(b, sys_.column_totals))
-
-
-def type_function_of(
-    b: Sequence[int], sys_: ZonotopeSystem, reflected: bool = False
-) -> TypeFunction:
+def type_function_of(b: Sequence[int], sys_: ZonotopeSystem) -> TypeFunction:
     """Interval index of every coordinate of b.
 
     Coordinate j has type i when it falls in the i-th half-open interval
     [a_0j + ... + a_(i-1)j, a_0j + ... + a_ij) of the window.
     """
     _check_window(b, sys_)
-    pt = reflect_point(b, sys_) if reflected else tuple(b)
     prefixes = sys_.column_prefixes
     # bisect_right returns the first prefix strictly above b_j; the interval
     # index is one less.
-    return tuple(
-        bisect_right(prefixes[j], c) - 1 for j, c in enumerate(pt)
-    )
+    return tuple(bisect_right(prefixes[j], c) - 1 for j, c in enumerate(b))
 
 
 def _check_window(b: Sequence[int], sys_: ZonotopeSystem) -> None:
@@ -71,9 +62,7 @@ def _check_window(b: Sequence[int], sys_: ZonotopeSystem) -> None:
             )
 
 
-def row_content_of(
-    b: Sequence[int], sys_: ZonotopeSystem, reflected: bool = False
-) -> RowContent:
+def row_content_of(b: Sequence[int], sys_: ZonotopeSystem) -> RowContent:
     """Polynomial index and support vertex of the cell containing b.
 
     The polynomial index is the largest i whose type count vanishes, and the
@@ -82,25 +71,10 @@ def row_content_of(
     The coordinate can never lie inside the i-th interval itself because the
     i-th type count is zero.
     """
-    _check_window(b, sys_)
-    pt = reflect_point(b, sys_) if reflected else tuple(b)
-    prefixes = sys_.column_prefixes
-    phi = tuple(bisect_right(prefixes[j], c) - 1 for j, c in enumerate(pt))
+    phi = type_function_of(b, sys_)
     t = type_vector_of(phi, sys_.n)
     i = max(k for k, cnt in enumerate(t) if cnt == 0)
-    vertex = []
-    for j, c in enumerate(pt):
-        if phi[j] == i:
-            raise InvariantViolated(
-                "type count of the content index must be zero"
-            )
-        if c < prefixes[j][i]:
-            vertex.append(0)
-        else:
-            vertex.append(sys_.bounds[i][j])
-    if reflected:
-        vertex = [a - v for a, v in zip(sys_.bounds[i], vertex)]
-    return RowContent(i, tuple(vertex))
+    return RowContent(i, tuple(0 if v < i else a for v, a in zip(phi, sys_.bounds[i])))
 
 
 def is_mixed(t: Sequence[int]) -> bool:

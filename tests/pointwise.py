@@ -4,15 +4,23 @@ The library classifies window points through greedy.KeyedWindow.  The
 functions here classify one point at a time, from the interval arithmetic of
 resmat.subdivision, through the embedding for multihomogeneous systems.
 They share no code with KeyedWindow beyond the system records.
+
+The reflected functions classify a point in the subdivision of the opposite
+orientation (positive instead of negative lifting slopes): reflect the point
+coordinatewise through the window, b_j -> total_j - 1 - b_j, classify it,
+and flip the support vertex back through its box, v -> a_i - v.
 """
 
 from itertools import product
+from operator import sub
 from typing import Iterator, Sequence
 
 from resmat import BadShape, MultiHomoSystem, ZonotopeSystem
 from resmat.greedy import is_greedy
 from resmat.multihomo import embed, lattice_points_multi
-from resmat.subdivision import lattice_points, row_content_of, type_function_of
+from resmat.subdivision import (
+    _check_window, lattice_points, row_content_of, type_function_of
+)
 from resmat.systems import Point, RowContent, TypeFunction, type_vector_of
 
 
@@ -34,6 +42,24 @@ def cell_points(
     return product(*ranges)
 
 
+def reflect_point(b: Sequence[int], sys_: ZonotopeSystem) -> Point:
+    """Reflect a point coordinatewise through the window, b_j -> total_j - 1 - b_j."""
+    return tuple(t - 1 - c for c, t in zip(b, sys_.column_totals))
+
+
+def reflected_type_function(b: Sequence[int], sys_: ZonotopeSystem) -> TypeFunction:
+    """Type function of b in the subdivision of the opposite orientation."""
+    _check_window(b, sys_)
+    return type_function_of(reflect_point(b, sys_), sys_)
+
+
+def reflected_row_content(b: Sequence[int], sys_: ZonotopeSystem) -> RowContent:
+    """Polynomial and support vertex of b in the opposite orientation."""
+    _check_window(b, sys_)
+    poly, vertex = row_content_of(reflect_point(b, sys_), sys_)
+    return RowContent(poly, tuple(map(sub, sys_.bounds[poly], vertex)))
+
+
 def column_support(
     b: Sequence[int], sys_: ZonotopeSystem, reflected: bool = False
 ) -> Iterator[Point]:
@@ -42,7 +68,8 @@ def column_support(
     Every yielded point lies in the window again; the matrix row of b has
     its potential entries exactly on these points.
     """
-    poly, vertex = row_content_of(b, sys_, reflected=reflected)
+    content = reflected_row_content if reflected else row_content_of
+    poly, vertex = content(b, sys_)
     base = tuple(c - v for c, v in zip(b, vertex))
     for a in sys_.support(poly):
         yield tuple(c + x for c, x in zip(base, a))

@@ -140,6 +140,14 @@ class TestClosureMatchesTupleBFS:
         cl = greedy_closure_multi(sys_)
         assert list(cl.items()) == list(multi_reference(sys_).items())
 
+    def test_one_large_group(self):
+        # each block's mixed values are listed as increasing sets; a walk
+        # over all 11! orders of the values took minutes here
+        sys_ = MultiHomoSystem((10,), ((1,),) * 11)
+        cl = greedy_closure_multi(sys_)
+        assert list(cl.items()) == list(multi_reference(sys_).items())
+        assert len(cl) == predicted_size_multihomo(sys_)
+
     @settings(max_examples=20, deadline=None)
     @given(multi_systems(ordered=False))
     def test_unordered_multihomogeneous_rejected_alike(self, sys_):
@@ -150,6 +158,34 @@ class TestClosureMatchesTupleBFS:
                 greedy_closure_multi(sys_)
         else:
             assert list(greedy_closure_multi(sys_).items()) == list(ref.items())
+
+
+def check_mixed_seeds(sys_, window, points, type_function):
+    """The seeds are the per-point mixed window points, cell by cell in phi
+    order and in key order inside a cell."""
+    phis = {w: type_function(w) for w in map(window.to_window, points)}
+    mixed = [w for w, phi in phis.items() if is_mixed(type_vector_of(phi, sys_.n))]
+    seeds = list(window.mixed_window_points())
+    assert seeds == sorted(mixed, key=lambda w: (phis[w], w))
+
+
+class TestMixedSeeds:
+    @settings(max_examples=30, deadline=None)
+    @given(box_systems(ordered=False))
+    def test_boxes(self, sys_):
+        check_mixed_seeds(
+            sys_, KeyedWindow(sys_), lattice_points(sys_),
+            lambda w: type_function_of(w, sys_),
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(multi_systems())
+    def test_multihomogeneous(self, sys_):
+        window = keyed_window(sys_)
+        check_mixed_seeds(
+            sys_, window, lattice_points_multi(sys_),
+            lambda w: type_function_multi(window.from_window(w), sys_),
+        )
 
 
 class TestSizeProgramMatchesCellSum:
@@ -239,9 +275,9 @@ class TestRowsFitTheWindow:
     build_matrix needs only the lookup of each column key."""
 
     @settings(max_examples=40, deadline=None)
-    @given(box_systems(ordered=False), st.booleans())
-    def test_boxes(self, sys_, reflected):
-        window = keyed_window(sys_, reflected)
+    @given(box_systems(ordered=False))
+    def test_boxes(self, sys_):
+        window = keyed_window(sys_)
         assert all(window.fits(w, window.record(w)) for w in lattice_points(sys_))
 
     @settings(max_examples=40, deadline=None)

@@ -1,8 +1,10 @@
 import gc
+import random
+from operator import sub
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import pointwise
@@ -12,21 +14,27 @@ import resmat.subdivision
 from pointwise import (
     column_support,
     column_support_multi,
+    reflected_row_content,
+    reflected_type_function,
     row_content_multi,
     type_function_multi,
 )
 from resmat import (
     BadShape,
     CoeffRef,
+    DEFAULT_PRIME,
     MultiHomoSystem,
     NotClosed,
     PointOutOfRange,
     UnsupportedFormat,
     build_matrix,
+    draw_coefficients,
     export_matrix,
     greedy_closure,
     greedy_closure_multi,
     principal_submatrix,
+    sparse_det,
+    specialize_rows,
     validate_multihomo,
     validate_zonotope,
 )
@@ -116,16 +124,6 @@ class TestBuildMatrix:
         full = build_matrix(list(lattice_points_multi(TRI)), TRI)
         assert full.size == 10
 
-    def test_reflected_build(self):
-        m = build_matrix(list(lattice_points(UNIT2)), UNIT2, reflected=True)
-        assert m.size == 9
-        for r, rc in enumerate(m.row_contents):
-            assert dict(m.rows[r])[r] == CoeffRef(rc.poly, rc.vertex)
-
-    def test_reflected_rejected_for_multihomo(self):
-        with pytest.raises(ValueError):
-            build_matrix(list(lattice_points_multi(TRI)), TRI, reflected=True)
-
 
 @st.composite
 def ordered_boxes(draw):
@@ -148,7 +146,7 @@ def ordered_multihomo(draw):
     return validate_multihomo(sizes, list(zip(*cols)))
 
 
-def expected_rows(m, sys_, reflected=False):
+def expected_rows(m, sys_):
     """Each row as a set of (column index, label), from the per-point functions."""
     index = {b: i for i, b in enumerate(m.points)}
     out = []
@@ -157,8 +155,8 @@ def expected_rows(m, sys_, reflected=False):
             poly = row_content_multi(b, sys_).poly
             cols = column_support_multi(b, sys_)
         else:
-            poly = row_content_of(b, sys_, reflected=reflected).poly
-            cols = column_support(b, sys_, reflected=reflected)
+            poly = row_content_of(b, sys_).poly
+            cols = column_support(b, sys_)
         out.append({
             (index[col], CoeffRef(poly, a))
             for col, a in zip(cols, sys_.support(poly))
@@ -166,35 +164,34 @@ def expected_rows(m, sys_, reflected=False):
     return out
 
 
-def classify(b, sys_, reflected=False):
+def classify(b, sys_):
     """(mixed, greedy, row content) of b from the per-point classifiers."""
     if isinstance(sys_, MultiHomoSystem):
         phi, rc = type_function_multi(b, sys_), row_content_multi(b, sys_)
     else:
-        phi = type_function_of(b, sys_, reflected=reflected)
-        rc = row_content_of(b, sys_, reflected=reflected)
+        phi, rc = type_function_of(b, sys_), row_content_of(b, sys_)
     t = type_vector_of(phi, sys_.n)
     return is_mixed(t), is_greedy(t), rc
 
 
-def expected_order(points, sys_, reflected=False):
+def expected_order(points, sys_):
     """Greedy-mixed, then greedy, then the rest, lexicographic in each class."""
     def rank(b):
-        mixed, greedy, _ = classify(b, sys_, reflected)
+        mixed, greedy, _ = classify(b, sys_)
         return (not greedy, not mixed, b)
 
     return sorted(set(map(tuple, points)), key=rank)
 
 
-def check_rows(points, sys_, reflected=False):
+def check_rows(points, sys_):
     """Build the matrix over points and check it against the per-point route."""
-    m = build_matrix(points, sys_, reflected)
-    assert list(m.points) == expected_order(points, sys_, reflected)
-    mixed, greedy, contents = zip(*(classify(b, sys_, reflected) for b in m.points))
+    m = build_matrix(points, sys_)
+    assert list(m.points) == expected_order(points, sys_)
+    mixed, greedy, contents = zip(*(classify(b, sys_) for b in m.points))
     assert m.mixed_flags == mixed
     assert m.greedy_flags == greedy
     assert m.row_contents == contents
-    assert [set(row) for row in m.rows] == expected_rows(m, sys_, reflected)
+    assert [set(row) for row in m.rows] == expected_rows(m, sys_)
     # one CoeffRef object per label, shared by every row that carries it
     refs = [ref for row in m.rows for _, ref in row]
     assert len(set(map(id, refs))) == len(set(refs))
@@ -210,10 +207,8 @@ class TestRowsMatchColumnSupport:
     @settings(max_examples=25, deadline=None)
     @given(ordered_boxes())
     def test_ordered_boxes(self, sys_):
-        full_points = list(lattice_points(sys_))
         check_rows(list(greedy_closure(sys_)), sys_)
-        check_rows(full_points, sys_)
-        check_rows(full_points, sys_, reflected=True)
+        check_rows(list(lattice_points(sys_)), sys_)
 
     @settings(max_examples=25, deadline=None)
     @given(ordered_multihomo())
@@ -255,34 +250,76 @@ class TestGreedyIsLeadingBlock:
         check_leading_block(sys_)
 
 
-def per_point_witness(points, sys_, reflected=False):
+def reflected_rows(sys_, coeffs, p, principal=False):
+    """Specialised rows of the reflected-orientation H (or E), point by point.
+
+    Rows and columns are the window points (non-mixed ones for E) in
+    lexicographic order; each row comes from the per-point reflected
+    classification, with no keyed window involved.
+    """
+    points = [
+        b for b in lattice_points(sys_)
+        if not principal
+        or not is_mixed(type_vector_of(reflected_type_function(b, sys_), sys_.n))
+    ]
+    index = {b: r for r, b in enumerate(points)}
+    rows = []
+    for b in points:
+        poly = reflected_row_content(b, sys_).poly
+        cols = column_support(b, sys_, reflected=True)
+        pairs = ((index.get(col), coeffs[CoeffRef(poly, a)])
+                 for col, a in zip(cols, sys_.support(poly)))
+        rows.append({c: v for c, v in pairs if c is not None and v})
+    return rows
+
+
+class TestReflectedIsFlippedDraw:
+    """det H_R(u) = det H(u_flip) and det E_R(u) = det E(u_flip), where
+    u_flip[i][a] = u[i][a_i - a]: verify's check e reads the reflected
+    determinants off H and E at that draw."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(ordered_boxes(), st.integers(0, 2**32))
+    def test_ordered_boxes(self, sys_, seed):
+        assume(sys_.lattice_size() <= 200)
+        p = DEFAULT_PRIME
+        coeffs = draw_coefficients(sys_, random.Random(seed), p)
+        flip = {CoeffRef(i, tuple(map(sub, sys_.bounds[i], a))): v
+                for (i, a), v in coeffs.items()}
+        h = build_matrix(lattice_points(sys_), sys_)
+        for m, principal in ((h, False), (principal_submatrix(h), True)):
+            want = sparse_det(reflected_rows(sys_, coeffs, p, principal), p)
+            assert sparse_det(specialize_rows(m, flip, p), p) == want
+
+
+def per_point_witness(points, sys_):
     """First row in matrix order with a missing column, and that column."""
     present = set(points)
-    for b in expected_order(points, sys_, reflected):
+    for b in expected_order(points, sys_):
         if isinstance(sys_, MultiHomoSystem):
             cols = column_support_multi(b, sys_)
         else:
-            cols = column_support(b, sys_, reflected=reflected)
+            cols = column_support(b, sys_)
         for col in cols:
             if col not in present:
                 return b, col
     return None
 
 
-def check_witness(points, sys_, reflected=False):
-    expected = per_point_witness(points, sys_, reflected)
+def check_witness(points, sys_):
+    expected = per_point_witness(points, sys_)
     if expected is None:
-        build_matrix(points, sys_, reflected)
+        build_matrix(points, sys_)
         return None
     with pytest.raises(NotClosed) as exc:
-        build_matrix(points, sys_, reflected)
+        build_matrix(points, sys_)
     assert (exc.value.row_point, exc.value.missing_point) == expected
     return expected
 
 
-def drop_some(data, points, sys_, reflected=False):
+def drop_some(data, points, sys_):
     """points without a random nonempty set of their non-mixed points."""
-    candidates = [b for b in points if not classify(b, sys_, reflected)[0]]
+    candidates = [b for b in points if not classify(b, sys_)[0]]
     dropped = data.draw(st.sets(st.sampled_from(candidates), min_size=1, max_size=3))
     return [b for b in points if b not in dropped], dropped
 
@@ -297,8 +334,8 @@ class TestNotClosedWitness:
         kept, dropped = drop_some(data, closure, sys_)
         # the closure reaches every point from a mixed one, so a row breaks
         assert check_witness(kept, sys_)[1] in dropped
-        full, _ = drop_some(data, list(lattice_points(sys_)), sys_, True)
-        check_witness(full, sys_, reflected=True)
+        full, _ = drop_some(data, list(lattice_points(sys_)), sys_)
+        check_witness(full, sys_)
 
     @settings(max_examples=25, deadline=None)
     @given(ordered_multihomo(), st.data())
@@ -327,12 +364,11 @@ class TestBadPoints:
     def test_same_error_as_per_point_route(self, sys_, bad, error):
         multi = isinstance(sys_, MultiHomoSystem)
         full = list(lattice_points_multi(sys_) if multi else lattice_points(sys_))
-        for reflected in (False,) if multi else (False, True):
-            with pytest.raises(error) as want:
-                classify(bad, sys_, reflected)
-            with pytest.raises(error) as got:
-                build_matrix(full + [bad], sys_, reflected)
-            assert str(got.value) == str(want.value)
+        with pytest.raises(error) as want:
+            classify(bad, sys_)
+        with pytest.raises(error) as got:
+            build_matrix(full + [bad], sys_)
+        assert str(got.value) == str(want.value)
 
 
 def forbid_per_point(monkeypatch):
@@ -352,9 +388,9 @@ def forbid_per_point(monkeypatch):
 class TestKeyedSuccessPath:
     def test_no_per_point_classifier(self, monkeypatch):
         cases = [
-            (list(greedy_closure(UNIT3)), UNIT3, False),
-            (list(lattice_points(UNIT3)), UNIT3, True),
-            (list(lattice_points_multi(TRI)), TRI, False),
+            (list(greedy_closure(UNIT3)), UNIT3),
+            (list(lattice_points(UNIT3)), UNIT3),
+            (list(lattice_points_multi(TRI)), TRI),
         ]
         expected = [build_matrix(*case) for case in cases]
         forbid_per_point(monkeypatch)
@@ -366,7 +402,7 @@ class TestKeyedSuccessPath:
             build_matrix([b for b in greedy_closure(UNIT2) if b != (1, 2)], UNIT2)
         assert exc.value.missing_point == (1, 2)
         with pytest.raises(PointOutOfRange):
-            build_matrix([(0, 3)], UNIT2, reflected=True)
+            build_matrix([(0, 3)], UNIT2)
         with pytest.raises(PointOutOfRange):
             build_matrix([(2, 2)], TRI)
 

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+from pathlib import Path
 
 import pytest
 
@@ -20,10 +21,12 @@ from resmat import (
     validate_zonotope,
     verify_quotient,
 )
+from resmat.cli import load_system
 from resmat.oracles import _require_prime, mixed_volume, permanent, sylvester_resultant
 from resmat.subdivision import lattice_points
 
 P = DEFAULT_PRIME
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestPermanent:
@@ -214,9 +217,9 @@ class TestVerifyQuotient:
         s = validate_zonotope([[2, 2], [2, 2], [1, 1]])
         real = oracles.build_matrix
 
-        def flag_first_non_greedy_row(points, sys_, reflected=False):
-            m = real(points, sys_, reflected)
-            if m.size < sys_.lattice_size() or reflected:
+        def flag_first_non_greedy_row(points, sys_):
+            m = real(points, sys_)
+            if m.size < sys_.lattice_size():
                 return m
             flags = list(m.greedy_flags)
             flags[flags.index(False)] = True
@@ -230,6 +233,30 @@ class TestVerifyQuotient:
         ]
         # checks a-e do not read the flags
         assert rep.ok and rep.passes["d"] == 2
+
+    @pytest.mark.parametrize("spec", [
+        "specs/zonotope_n2_unit.json", "bench/specs/box_n3_222.json",
+    ])
+    def test_reflection_rejects_rotated_labels(self, spec, monkeypatch):
+        # mut2: every non-mixed row of every build carries its labels rotated
+        # by one entry, so the quotient is no longer the resultant
+        s = load_system(str(ROOT / spec))[0]
+        assert verify_quotient(s, trials=2).passes["e"] == 2
+        real = oracles.build_matrix
+
+        def rotate_non_mixed_labels(points, sys_):
+            m = real(points, sys_)
+            rows = tuple(
+                row if mixed else tuple(zip(
+                    [c for c, _ in row], [ref for _, ref in row[1:] + row[:1]]
+                ))
+                for row, mixed in zip(m.rows, m.mixed_flags)
+            )
+            return dataclasses.replace(m, rows=rows)
+
+        monkeypatch.setattr(oracles, "build_matrix", rotate_non_mixed_labels)
+        rep = verify_quotient(s, trials=2)
+        assert [f["trial"] for f in rep.failures if f["check"] == "e"] == [0, 1]
 
     def test_multihomo_skips_reflection(self):
         s = validate_multihomo((2,), [[2], [2], [1]])

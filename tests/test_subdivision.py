@@ -1,14 +1,14 @@
 import pytest
 
-from pointwise import cell_points, column_support
-from resmat import BadShape, PointOutOfRange, validate_zonotope
-from resmat.subdivision import (
-    is_mixed,
-    lattice_points,
+from pointwise import (
+    cell_points,
+    column_support,
     reflect_point,
-    row_content_of,
-    type_function_of,
+    reflected_row_content,
+    reflected_type_function,
 )
+from resmat import BadShape, PointOutOfRange, validate_zonotope
+from resmat.subdivision import is_mixed, lattice_points, row_content_of, type_function_of
 from resmat.systems import type_vector_of
 
 UNIT2 = validate_zonotope([[1, 1], [1, 1], [1, 1]])
@@ -125,7 +125,7 @@ class TestReflection:
         # reflected classification must also assign every point a valid
         # polynomial and vertex of its support
         for b in lattice_points(MIX2):
-            rc = row_content_of(b, MIX2, reflected=True)
+            rc = reflected_row_content(b, MIX2)
             for j, v in enumerate(rc.vertex):
                 assert v in (0, MIX2.bounds[rc.poly][j])
 
@@ -137,14 +137,10 @@ class TestReflection:
 
     def test_reflected_type_vector_counts_match_mixed_volume_totals(self):
         # both orientations produce the same number of mixed points
-        def mixed_count(reflected):
+        def mixed_count(type_function):
             return sum(
-                is_mixed(
-                    type_vector_of(
-                        type_function_of(b, MIX2, reflected=reflected), MIX2.n
-                    )
-                )
+                is_mixed(type_vector_of(type_function(b, MIX2), MIX2.n))
                 for b in lattice_points(MIX2)
             )
 
-        assert mixed_count(False) == mixed_count(True)
+        assert mixed_count(type_function_of) == mixed_count(reflected_type_function)
