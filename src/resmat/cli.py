@@ -94,10 +94,11 @@ def load_system(
     path: str,
 ) -> tuple[ZonotopeSystem | MultiHomoSystem, dict]:
     """Parse a JSON system file into a validated system plus metadata."""
-    raw = Path(path).read_text(encoding="utf-8")
     try:
-        data = json.loads(raw)
-    except json.JSONDecodeError as exc:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise SpecParse(f"{path}: not UTF-8 text: {exc}") from exc
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise SpecParse(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise SpecInvalid(f"{path}: top level must be a JSON object")

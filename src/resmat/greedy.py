@@ -7,11 +7,11 @@ it coincides with the set of points whose type vector is greedy, which gives
 a closed-form size prediction.
 
 KeyedWindow runs the closure for box and multihomogeneous systems alike.
-Its window coordinates come in blocks that share one bound per polynomial:
-a box coordinate is a block of size 1, and a multihomogeneous block is the
-embedded image of one variable group (see multihomo).  Inside a block,
-window points are strictly increasing and support images are
-nondecreasing sequences in [0, bound].
+Its window coordinates come in blocks that share one bound per polynomial,
+as the constructor checks: a box coordinate is a block of size 1, and a
+multihomogeneous block is the embedded image of one variable group (see
+multihomo).  Inside a block, window points strictly increase and support
+images are nondecreasing in [0, bound], so a row's columns are window points.
 """
 
 from __future__ import annotations
@@ -21,10 +21,10 @@ from collections import defaultdict
 from functools import cached_property, reduce
 from itertools import (accumulate, chain, combinations, combinations_with_replacement,
                        groupby, product)
-from operator import add, ge, getitem, le, lt, mul, or_, sub
+from operator import add, ge, getitem, mul, or_, sub
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .errors import PointOutOfRange
+from .errors import InvariantViolated
 from .subdivision import is_mixed
 from .systems import (
     CoeffRef, Point, RowContent, TypeFunction, ZonotopeSystem, type_vector_of
@@ -65,10 +65,11 @@ class KeyedWindow:
 
     Point w has key sum_k w_k * strides[k]: key order is lexicographic, and
     a column of row w is key - vertex key + the key of a support image.
-    group_sizes splits the axes into blocks with one bound per polynomial
-    (default: size 1).  to_window maps the caller's points into the window,
-    from_window maps them back, and preimage(i, v) maps a vertex or support
-    image v of polynomial i to the caller's coordinates (default: as is).
+    group_sizes splits the axes into blocks that share one bound per
+    polynomial (InvariantViolated otherwise; default: size 1).  to_window
+    maps the caller's points into the window, from_window maps them back,
+    and preimage(i, v) maps a vertex or support image v of polynomial i to
+    the caller's coordinates (default: as is).
     """
 
     def __init__(
@@ -88,10 +89,8 @@ class KeyedWindow:
         self.strides = tuple(math.prod(self.totals[k + 1 :]) for k in range(n))
         sizes = tuple(group_sizes or (1,) * n)
         self.blocks = tuple(zip(accumulate(sizes, initial=0), accumulate(sizes)))
-        # per coordinate, the first coordinate of its block
-        self.heads = tuple(a for a, b in self.blocks for _ in range(a, b))
-        # coordinates k whose predecessor k - 1 lies in the same block
-        self.steps = tuple(k for k in range(1, n) if self.heads[k] < k)
+        if any(len(set(row[a:b])) > 1 for row in zsys.bounds for a, b in self.blocks):
+            raise InvariantViolated("a block must share one bound per polynomial")
         # per axis, coordinate value -> 1 << (type of that value)
         self.type_bits = tuple(
             dict(enumerate(1 << i for i, a in enumerate(col) for _ in range(a)))
@@ -132,9 +131,8 @@ class KeyedWindow:
                 for v, ks in groupby(range(a, b), phi.__getitem__):
                     k, m = next(ks), 1 + sum(1 for _ in ks)
                     runs.append(combinations(range(*prefixes[k][v : v + 2]), m))
-                # drops nothing where the block's coordinates share intervals
-                block = [sum(r, ()) for r in product(*runs)]
-                self._parts[seg] = [w for w in block if all(map(lt, w, w[1:]))]
+                # the block's coordinates share intervals, so runs increase
+                self._parts[seg] = [sum(r, ()) for r in product(*runs)]
             parts.append(self._parts[seg])
         return map(tuple, map(chain.from_iterable, product(*parts)))
 
@@ -170,40 +168,26 @@ class KeyedWindow:
         return [[CoeffRef(i, pre(i, v)) for v in vs] for i, vs in images]
 
     def _record(self, i: int, above: tuple[bool, ...]) -> tuple:
-        """Content, column deltas, vertex, hi and steps of a row."""
-        bounds = self.zsys.bounds[i]
-        vertex = [a if up else 0 for a, up in zip(bounds, above)]
-        rc = RowContent(i, self.preimage(i, vertex))
-        # columns w - vertex + image stay in the window and strictly increase
-        # inside blocks iff vertex <= w <= hi and w steps by at least `need`
-        hi = [t - 1 - bounds[h] + v for t, h, v in zip(self.totals, self.heads, vertex)]
-        steps = [(k, 1 + vertex[k] - vertex[k - 1]) for k in self.steps]
+        """Content and column deltas of a row."""
+        vertex = [a if up else 0 for a, up in zip(self.zsys.bounds[i], above)]
         # column keys relative to the row key: support image minus vertex
         voff = self.key(vertex)
         deltas = [self.key(img) - voff for img in self.images[i]]
-        return rc, deltas, vertex, hi, steps
-
-    @staticmethod
-    def fits(w: Sequence[int], rec: tuple) -> bool:
-        """Whether every column key of row w is the key of a window point."""
-        _, _, vertex, hi, steps = rec
-        return all(map(le, vertex, w)) and all(map(le, w, hi)) and all(
-            w[k] - w[k - 1] >= need for k, need in steps
-        )
+        return RowContent(i, self.preimage(i, vertex)), deltas
 
     def closure(self) -> dict[Point, RowContent]:
         """Close the mixed points under column supports.
 
         Returns every reached point with its row content, keyed by caller
         point in sorted order.  Rows share one record per (polynomial,
-        vertex); a row whose column set leaves the window raises PointOutOfRange.
+        vertex); with shared block bounds no row's column leaves the window.
 
         It runs in rounds over bitsets of keys: a polynomial's frontier bases
         (key minus vertex key), moved by one part offset per block in turn,
         reach every column of its rows, and the unseen ones are the next
         frontier.  A key is hi * span + lo, a bit lo of the bitset at hi.
         """
-        coords, record, fits = self.coords, self.record, self.fits
+        coords, record = self.coords, self.record
         from_window, blocks, totals = self.from_window, self.blocks, self.totals
 
         def spread(k: int) -> int:
@@ -229,14 +213,10 @@ class KeyedWindow:
                 lo = bits.find("1")
                 while lo >= 0:
                     w = coords(top + lo)
-                    rec = record(w)
-                    if not fits(w, rec):
-                        raise PointOutOfRange(
-                            f"column support of row {from_window(w)} leaves the window"
-                        )
-                    rows[from_window(w)] = rec[0]
+                    rc, deltas = record(w)
+                    rows[from_window(w)] = rc
                     # the first support image is the origin: deltas[0] = -vertex key
-                    bases[rec[0].poly].append(top + lo + rec[1][0])
+                    bases[rc.poly].append(top + lo + deltas[0])
                     lo = bits.find("1", lo + 1)
             reached: dict[int, int] = defaultdict(int)
             for keys, row in zip(bases, moves):

@@ -117,9 +117,8 @@ def build_matrix(
         w = window.to_window(b)
         cell = tuple(map(dict.get, tables, w))
         if len(b) != n or None in cell:
-            # the error of the point a per-point classifier checks: b itself,
-            # or the embedded w of a grouped system
-            _check_window(w if isinstance(sys_, MultiHomoSystem) else b, window.zsys)
+            # the error a per-point classifier gives the window point w
+            _check_window(w, window.zsys)
         if (info := cells.get(cell)) is None:
             t = type_vector_of([bit.bit_length() - 1 for bit in cell], n)
             info = cells[cell] = (is_mixed(t), is_greedy(t), window.record(w))

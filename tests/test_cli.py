@@ -467,6 +467,19 @@ class TestVerifyCommand:
         path.write_text("]")
         assert cli.main(["sizes", str(path)]) == 2
 
+    @pytest.mark.parametrize("raw", [
+        b"\xff\xfe{}",
+        b"[" * 100_000 + b"]" * 100_000,
+    ], ids=["not-utf8", "deep-array"])
+    def test_unparsable_spec_exit_2(self, raw, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(raw)
+        assert cli.main(["sizes", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
 
 class TestGuardrail:
     def test_refusal_and_force(self, capsys, monkeypatch):

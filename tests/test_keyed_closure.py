@@ -24,9 +24,9 @@ from pointwise import (
     type_function_multi,
 )
 from resmat import (
+    InvariantViolated,
     MultiHomoSystem,
     OrderingViolated,
-    PointOutOfRange,
     ZonotopeSystem,
     greedy_closure,
     greedy_closure_multi,
@@ -270,22 +270,45 @@ class TestGreedyCellWalk:
             assert all(row_content_of(b, sys_) == rc for b in points)
 
 
+def check_rows_fit(window, points, columns):
+    """Each key(w) + d over record(w)'s deltas decodes to a window point: in
+    range and strictly increasing inside each block.  The decoded points are
+    the row's per-point columns b - vertex + a, so no key carried."""
+    size = math.prod(window.totals)
+    for b in points:
+        w = window.to_window(b)
+        keys = [window.key(w) + d for d in window.record(w)[1]]
+        assert all(0 <= key < size for key in keys)
+        cols = list(map(window.coords, keys))
+        assert all(
+            c[k] < c[k + 1] for c in cols for a, z in window.blocks for k in range(a, z - 1)
+        )
+        assert sorted(map(window.from_window, cols)) == sorted(columns(b))
+
+
 class TestRowsFitTheWindow:
-    """Every window point's row passes the closure's column-box test, so
-    build_matrix needs only the lookup of each column key."""
+    """A block shares one bound per polynomial, so every window point's row
+    stays in the window: the closure and build_matrix check no row."""
 
     @settings(max_examples=40, deadline=None)
     @given(box_systems(ordered=False))
     def test_boxes(self, sys_):
-        window = keyed_window(sys_)
-        assert all(window.fits(w, window.record(w)) for w in lattice_points(sys_))
+        check_rows_fit(
+            keyed_window(sys_), lattice_points(sys_), lambda b: column_support(b, sys_)
+        )
 
     @settings(max_examples=40, deadline=None)
     @given(multi_systems())
     def test_multihomogeneous(self, sys_):
-        window = keyed_window(sys_)
-        points = map(window.to_window, lattice_points_multi(sys_))
-        assert all(window.fits(w, window.record(w)) for w in points)
+        check_rows_fit(
+            keyed_window(sys_), lattice_points_multi(sys_),
+            lambda b: column_support_multi(b, sys_),
+        )
+
+    def test_block_with_mixed_bounds_rejected(self):
+        # polynomial 1 bounds the block's two coordinates by 1 and 2
+        with pytest.raises(InvariantViolated, match="share one bound"):
+            KeyedWindow(ZonotopeSystem(((1, 1), (1, 2), (1, 1))), (2,))
 
 
 class TestCellPoints:
@@ -333,13 +356,6 @@ class TestBitsetSplit:
         window = keyed_window(sys_)
         assert list(window.closure().items()) == list(ref.items())
 
-    @pytest.mark.parametrize("dense", [1, 4, 10**9], ids=["sparse", "split", "dense"])
-    def test_any_split_names_the_same_row(self, monkeypatch, dense):
-        monkeypatch.setattr(greedy, "_DENSE_BITS", dense)
-        window = KeyedWindow(ZonotopeSystem(((1, 1), (1, 2), (1, 1))), (2,))
-        with pytest.raises(PointOutOfRange, match=r"row \(2, 3\) leaves the window"):
-            window.closure()
-
     def test_large_group_memory_follows_the_window(self):
         # the embedded box holds 14^6 = 7.5M keys for 3,003 window points
         sys_ = MultiHomoSystem((6,), ((2,),) * 7)
@@ -359,68 +375,3 @@ class TestBitsetSplit:
         size = len(greedy_closure_multi(sys_))
         assert size == predicted_size_multihomo(sys_) == 25194
 
-
-class TestEscape:
-    def test_escaping_column_raises(self):
-        # Validated systems never escape: each coordinate's column range
-        # stays inside its own interval block.  A block whose coordinates
-        # do not share their bounds is no embedded simplex, and there the
-        # support image of the last polynomial leaves the window.
-        zsys = ZonotopeSystem(((1, 1), (1, 1), (2, 1)))
-        window = KeyedWindow(zsys, (2,))
-        with pytest.raises(PointOutOfRange):
-            window.closure()
-
-    @pytest.mark.parametrize("bounds, groups", [
-        (((1, 1), (1, 2), (1, 1)), (2,)),
-        (((1, 1, 1), (1, 1, 1), (1, 2, 1), (1, 1, 1)), (2, 1)),
-    ])
-    def test_reached_row_escapes(self, bounds, groups):
-        # every mixed seed fits, so the escaping row is one the search reached
-        window = KeyedWindow(ZonotopeSystem(bounds), groups)
-        seeds = list(window.mixed_window_points())
-        assert all(window.fits(w, window.record(w)) for w in seeds)
-        with pytest.raises(PointOutOfRange):
-            window.closure()
-
-    def test_escaping_row_is_named(self):
-        window = KeyedWindow(ZonotopeSystem(((1, 1), (1, 2), (1, 1))), (2,))
-        assert (2, 3) not in set(window.mixed_window_points())
-        with pytest.raises(PointOutOfRange, match=r"row \(2, 3\) leaves the window"):
-            window.closure()
-
-    def test_escape_check_is_exact(self):
-        # the O(n) test agrees with checking every column point
-        for flat in product((1, 2), repeat=6):
-            zsys = ZonotopeSystem((flat[0:2], flat[2:4], flat[4:6]))
-            window = KeyedWindow(zsys, (2,))
-            # the block's coordinates can have different intervals, where a
-            # product of runs holds points that do not increase; none is a seed
-            assert all(w[0] < w[1] for w in window.mixed_window_points())
-            try:
-                window.closure()
-                escaped = False
-            except PointOutOfRange:
-                escaped = True
-            assert escaped == _escapes_pointwise(window)
-
-
-def _escapes_pointwise(window):
-    zsys = window.zsys
-    valid = {w for w in lattice_points(zsys) if w[0] < w[1]}
-    seen = set(window.mixed_window_points())
-    queue = deque(seen)
-    while queue:
-        w = queue.popleft()
-        poly, vertex = row_content_of(w, zsys)
-        d = zsys.bounds[poly][0]
-        for a, b in product(range(d + 1), repeat=2):
-            if a > b:
-                continue
-            col = (w[0] - vertex[0] + a, w[1] - vertex[1] + b)
-            if col not in valid:
-                return True
-            if col not in seen:
-                seen.add(col)
-                queue.append(col)
-    return False
