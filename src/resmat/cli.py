@@ -126,12 +126,10 @@ def load_system(
     )
 
 
-def _check_guardrail(sys_, force: bool) -> None:
-    size = sys_.lattice_size()
-    if size > GUARDRAIL and not force:
+def _check_guardrail(count: int, what: str, force: bool) -> None:
+    if count > GUARDRAIL and not force:
         raise SpecInvalid(
-            f"lattice window has {size} points, above the {GUARDRAIL} "
-            f"guardrail; pass --force to proceed"
+            f"{count} {what}, above the {GUARDRAIL} guardrail; pass --force to proceed"
         )
 
 
@@ -153,15 +151,6 @@ def _engine(sys_) -> _Engine:
                    check_no_escape, cell_table, lattice_points)
 
 
-def _mixed_by_poly(sys_, closure) -> list[int]:
-    """Per polynomial, the closure points of the mixed cells."""
-    counts = [0] * (sys_.n + 1)
-    window = keyed_window(sys_)
-    for w in window.mixed_window_points():
-        counts[closure[window.from_window(w)].poly] += 1
-    return counts
-
-
 def cmd_sizes(sys_, meta: dict) -> int:
     multi = isinstance(sys_, MultiHomoSystem)
     engine = _engine(sys_)
@@ -173,10 +162,9 @@ def cmd_sizes(sys_, meta: dict) -> int:
     print(f"kind={'multihomogeneous' if multi else 'zonotope'} n={sys_.n}")
     print(f"|B|={b_size} |G|={g} predicted={predicted} ratio={b_size / g:.3f}")
 
-    mixed_by_i = _mixed_by_poly(sys_, closure)
     print(
         "mixed points per polynomial: "
-        + " ".join(f"i={i}:{c}" for i, c in enumerate(mixed_by_i))
+        + " ".join(f"i={i}:{c}" for i, c in enumerate(closure.mixed_by_poly))
     )
     if multi:
         formula: Counter = Counter()
@@ -225,7 +213,10 @@ def cmd_subdivision(sys_) -> int:
 
 def cmd_matrix(sys_, args) -> int:
     engine = _engine(sys_)
-    points = list(engine.points(sys_) if args.full else engine.closure(sys_))
+    points = engine.points(sys_) if args.full else engine.closure(sys_)
+    if args.format == "dense":
+        size = sys_.lattice_size() if args.full else len(points)
+        _check_guardrail(size**2, f"entries in the dense export of {size} points", args.force)
     m = build_matrix(points, sys_)
     if args.principal:
         m = principal_submatrix(m)
@@ -304,14 +295,10 @@ def cmd_verify(sys_, args) -> int:
         )
     )
     if not multi:
-        mixed_by_i = _mixed_by_poly(sys_, closure)
+        mixed = closure.mixed_by_poly
         vols = [mixed_volume(sys_.bounds, i) for i in range(sys_.n + 1)]
         structural.append(
-            (
-                "mixed-count-vs-mixed-volume",
-                mixed_by_i == vols,
-                f"counts {mixed_by_i} vs volumes {vols}",
-            )
+            ("mixed-count-vs-mixed-volume", mixed == vols, f"counts {mixed} vs volumes {vols}")
         )
 
     quotient = None
@@ -367,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--force",
             action="store_true",
-            help="ignore the lattice-size guardrail",
+            help="ignore the size guardrails",
         )
 
     p_sizes = sub.add_parser("sizes", help="point and matrix size report")
@@ -424,7 +411,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         sys_, meta = load_system(args.spec)
-        _check_guardrail(sys_, args.force)
+        _check_guardrail(sys_.lattice_size(), "points in the lattice window", args.force)
         if args.command == "sizes":
             return cmd_sizes(sys_, meta)
         if args.command == "subdivision":

@@ -12,20 +12,24 @@ as the constructor checks: a box coordinate is a block of size 1, and a
 multihomogeneous block is the embedded image of one variable group (see
 multihomo).  Inside a block, window points strictly increase and support
 images are nondecreasing in [0, bound], so a row's columns are window points.
+The closure classifies whole bitsets of keys with per-polynomial masks and
+returns a mapping over them, so |G| and the mixed counts are popcounts.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from collections import defaultdict
-from functools import cached_property, reduce
+from collections.abc import Mapping
+from functools import cache, cached_property, reduce
 from itertools import (accumulate, chain, combinations, combinations_with_replacement,
                        groupby, product)
-from operator import add, ge, getitem, mul, or_, sub
+from operator import add, and_, ge, getitem, mul, or_, sub
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .errors import InvariantViolated
-from .subdivision import is_mixed
+from .errors import InvariantViolated, ResmatError
+from .subdivision import _check_window, is_mixed
 from .systems import (
     CoeffRef, Point, RowContent, TypeFunction, ZonotopeSystem, type_vector_of
 )
@@ -47,6 +51,36 @@ def _bitsets(keys: Iterable[int], span: int) -> dict[int, int]:
         hi, lo = divmod(key, span)
         arrays[hi][lo >> 3] |= 1 << (lo & 7)
     return {hi: int.from_bytes(a, "little") for hi, a in arrays.items()}
+
+
+class Closure(Mapping):
+    """Read-only {caller point: row content} view of the closure's key bitsets.
+
+    len is a popcount, a lookup tests one bit, and iteration decodes every key
+    once, in sorted order.  mixed_by_poly[i] counts the mixed rows of poly i.
+    """
+
+    def __init__(self, window: KeyedWindow, seen: dict[int, int], span: int, mixed: list[int]):
+        self._window, self._seen, self._span, self.mixed_by_poly = window, seen, span, mixed
+
+    def __len__(self) -> int:
+        return sum(m.bit_count() for m in self._seen.values())
+
+    def __iter__(self) -> Iterator[Point]:
+        window, span = self._window, self._span
+        keys = (hi * span + one.start() for hi, m in self._seen.items()
+                for one in re.finditer("1", format(m, "b")[::-1]))
+        return iter(sorted(map(window.from_window, map(window.coords, keys))))
+
+    def __getitem__(self, b: Point) -> RowContent:
+        try:
+            _check_window(w := self._window.to_window(b), self._window.zsys)
+        except ResmatError:
+            raise KeyError(b) from None
+        hi, lo = divmod(self._window.key(w), self._span)
+        if not self._seen.get(hi, 0) >> lo & 1:
+            raise KeyError(b)
+        return self._window.record(w)[0]
 
 
 def is_greedy(t: Sequence[int]) -> bool:
@@ -175,20 +209,22 @@ class KeyedWindow:
         deltas = [self.key(img) - voff for img in self.images[i]]
         return RowContent(i, self.preimage(i, vertex)), deltas
 
-    def closure(self) -> dict[Point, RowContent]:
-        """Close the mixed points under column supports.
+    def closure(self) -> Closure:
+        """Close the mixed points under column supports, as a Closure mapping.
 
-        Returns every reached point with its row content, keyed by caller
-        point in sorted order.  Rows share one record per (polynomial,
-        vertex); with shared block bounds no row's column leaves the window.
-
-        It runs in rounds over bitsets of keys: a polynomial's frontier bases
-        (key minus vertex key), moved by one part offset per block in turn,
-        reach every column of its rows, and the unseen ones are the next
-        frontier.  A key is hi * span + lo, a bit lo of the bitset at hi.
+        It runs in rounds over bitsets of keys, hi * span + lo as bit lo of the
+        bitset at hi, and no round decodes a key.  Masks over lo pick the rows
+        of polynomial i (type i absent, every type above it present) and, per
+        lo axis k, those whose vertex coordinate k is a_ik.  The hi coordinates
+        of a bitset are constant: their types choose the masks, and their
+        vertex moves hi.  A round moves each polynomial's frontier rows to
+        their bases (key minus vertex key) by one masked shift per lo axis,
+        then by one part offset per block in turn, which reaches every column
+        (shared block bounds keep it in the window); unseen columns are the
+        next frontier.
         """
-        coords, record = self.coords, self.record
-        from_window, blocks, totals = self.from_window, self.blocks, self.totals
+        blocks, totals, strides = self.blocks, self.totals, self.strides
+        n, bounds, prefixes = self.zsys.n, self.zsys.bounds, self.zsys.column_prefixes
 
         def spread(k: int) -> int:
             """Window prefixes up to coordinate k, times the box from k on."""
@@ -197,30 +233,59 @@ class KeyedWindow:
                 math.comb(totals[a] - b + c, c - a) for a, b, c in ends)
 
         # split where bitsets at every window prefix hold <= _DENSE_BITS bits per point
-        n = self.zsys.n
         cut = next(k for k in range(n + 1) if spread(k) <= _DENSE_BITS * spread(n))
         span = math.prod(totals[cut:])
         # a part offset moves a key by (hi, lo); coordinates never carry
         moves = [[[divmod(d, span) for d in ds] for ds in row] for row in self.offsets]
-        rows: dict[Point, RowContent] = {}
+
+        def slab(k: int, start: int, stop: int) -> int:
+            """The lo keys whose coordinate k lies in [start, stop), by doubling."""
+            s, period = strides[k], strides[k] * totals[k]
+            mask = ((1 << (stop - start) * s) - 1) << start * s
+            while period < span:
+                mask, period = mask | mask << period, 2 * period
+            return mask
+
+        # per type j, the lo keys with some coordinate of type j
+        present = [reduce(or_, [slab(k, *prefixes[k][j : j + 2]) for k in range(cut, n)], 0)
+                   for j in range(n + 1)]
+        # per polynomial, (rows with vertex coordinate k = a_ik, move by a_ik) per lo axis
+        lowers = [[(slab(k, prefixes[k][i], totals[k]), row[k] * strides[k])
+                   for k in range(cut, n)] for i, row in enumerate(bounds)]
+        # per hi axis k and value v, each polynomial's vertex move of hi
+        steps = [[[row[k] * strides[k] // span * (v >= low) for row, low in
+                   zip(bounds, prefixes[k])] for v in range(totals[k])] for k in range(cut)]
+
+        @cache
+        def rows_of(used: int) -> list[int]:
+            """Per polynomial, the lo mask of its rows, given the bitmask of hi types."""
+            return [0 if used >> i & 1 else reduce(and_, [present[j] for j in range(
+                i + 1, n + 1) if not used >> j & 1], ~present[i]) for i in range(n + 1)]
+
+        @cache
+        def at(hi: int) -> tuple[list[int], list[int]]:
+            """Per polynomial, the lo mask of its rows at hi and its vertex's move of hi."""
+            c = self.coords(hi * span)[:cut]
+            used = reduce(or_, map(getitem, self.type_bits, c), 0)
+            return rows_of(used), [*map(sum, zip([0] * (n + 1), *map(getitem, steps, c)))]
+
         seen: dict[int, int] = {}
         fresh = _bitsets(map(self.key, self.mixed_window_points()), span)
+        mixed = [sum((m & at(hi)[0][i]).bit_count() for hi, m in fresh.items())
+                 for i in range(n + 1)]
         while fresh:
-            bases: list[list[int]] = [[] for _ in self.offsets]
-            for hi in sorted(fresh):
-                seen[hi] = seen.get(hi, 0) | fresh[hi]
-                bits, top = format(fresh[hi], "b")[::-1], hi * span
-                lo = bits.find("1")
-                while lo >= 0:
-                    w = coords(top + lo)
-                    rc, deltas = record(w)
-                    rows[from_window(w)] = rc
-                    # the first support image is the origin: deltas[0] = -vertex key
-                    bases[rc.poly].append(top + lo + deltas[0])
-                    lo = bits.find("1", lo + 1)
+            bases: list[dict[int, int]] = [defaultdict(int) for _ in moves]
+            for hi, m in fresh.items():
+                seen[hi] = seen.get(hi, 0) | m
+                for i, (rows, dh, lower) in enumerate(zip(*at(hi), lowers)):
+                    x = m & rows
+                    for u, d in lower:
+                        if y := x & u:
+                            x = x ^ y | y >> d
+                    if x:
+                        bases[i][hi - dh] |= x
             reached: dict[int, int] = defaultdict(int)
-            for keys, row in zip(bases, moves):
-                masks = _bitsets(keys, span)
+            for masks, row in zip(bases, moves):
                 for block in row:
                     moved: dict[int, int] = defaultdict(int)
                     for (h, m), (dh, dl) in product(masks.items(), block):
@@ -229,7 +294,7 @@ class KeyedWindow:
                 for h, m in masks.items():
                     reached[h] |= m
             fresh = {h: f for h, m in reached.items() if (f := m & ~seen.get(h, 0))}
-        return {b: rows[b] for b in sorted(rows)}
+        return Closure(self, seen, span, mixed)
 
     def predicted_size(self) -> int:
         """Greedy matrix size by a dynamic program over blocks.
@@ -239,14 +304,16 @@ class KeyedWindow:
         it).  A block of size m adds a count vector c, one per monotone type
         function on the block, weighted by its cell count prod_k
         binom(bound_k, c_k); a box coordinate adds a unit vector e_k with
-        weight a_kj.
+        weight a_kj.  Only the vectors with every c_k <= bound_k are built,
+        coordinate by coordinate, since the others weigh zero.
         """
-        n = self.zsys.n
-        states = {(0,) * (n + 1): 1}
+        states = {(0,) * (self.zsys.n + 1): 1}
         for start, stop in self.blocks:
-            shapes = combinations_with_replacement(range(n + 1), stop - start)
-            counts = [type_vector_of(phi, n) for phi in shapes]
-            moves = [(c, w) for c in counts if (w := self._cell_count(start, c))]
+            counts, m = [()], stop - start
+            for k, cap in enumerate(caps := [row[start] for row in self.zsys.bounds]):
+                counts = [c + (x,) for c in counts for x in range(cap + 1)
+                          if 0 <= m - sum(c) - x <= sum(caps[k + 1 :])]
+            moves = [(c, self._cell_count(start, c)) for c in counts]
             nxt: dict[tuple[int, ...], int] = defaultdict(int)
             for t, count in states.items():
                 for c, weight in moves:
@@ -327,13 +394,9 @@ def predicted_size_zonotope(sys_: ZonotopeSystem) -> int:
     return KeyedWindow(sys_).predicted_size()
 
 
-def greedy_closure(sys_: ZonotopeSystem) -> dict[Point, RowContent]:
-    """Close the mixed points under column supports.
-
-    Returns every reached point with its row content, keyed in lexicographic
-    order.  Starting from the points of mixed cells, repeatedly add all
-    column points of rows already collected.
-    """
+def greedy_closure(sys_: ZonotopeSystem) -> Closure:
+    """The mixed points closed under column supports, as a read-only mapping
+    from each point, in lexicographic order, to its row content."""
     return KeyedWindow(sys_).closure()
 
 

@@ -28,11 +28,10 @@ from itertools import accumulate, product
 from typing import Iterator, Sequence
 
 from .errors import BadShape, InvariantViolated, PointOutOfRange
-from .greedy import CellRow, GreedyCell, KeyedWindow, greedy_cells_closed
+from .greedy import CellRow, Closure, GreedyCell, KeyedWindow, greedy_cells_closed
 from .systems import (
     MultiHomoSystem,
     Point,
-    RowContent,
     ZonotopeSystem,
     _simplex_points,
     validate_zonotope,
@@ -151,7 +150,7 @@ def keyed_window(sys_: ZonotopeSystem | MultiHomoSystem) -> KeyedWindow:
     return KeyedWindow(sys_)
 
 
-def greedy_closure_multi(sys_: MultiHomoSystem) -> dict[Point, RowContent]:
+def greedy_closure_multi(sys_: MultiHomoSystem) -> Closure:
     """Close the mixed multihomogeneous points under column supports."""
     return keyed_window(sys_).closure()
 

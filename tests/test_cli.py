@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -364,10 +365,15 @@ class TestVerifyCommand:
         # a closure that lost a point must fail the check against the cell walk
         real = getattr(cli, closure_name)
 
+        class Short(dict):
+            """The closure's points and mixed counts, one point fewer."""
+
         def short(sys_):
             closure = real(sys_)
-            closure.pop(next(reversed(closure)))
-            return closure
+            points = Short(closure)
+            points.pop(next(reversed(points)))
+            points.mixed_by_poly = closure.mixed_by_poly
+            return points
 
         monkeypatch.setattr(cli, closure_name, short)
         assert cli.main(["verify", spec, "--quotient-limit", "0"]) == 3
@@ -487,3 +493,36 @@ class TestGuardrail:
         assert cli.main(["sizes", UNIT2_SPEC]) == 2
         assert "guardrail" in capsys.readouterr().err
         assert cli.main(["sizes", UNIT2_SPEC, "--force"]) == 0
+
+    @pytest.mark.parametrize("which, size", [("--greedy", 65536), ("--full", 117649)])
+    def test_dense_export_refused_above_guardrail(self, which, size, capsys):
+        # all-ones n=6 is under the lattice guardrail, but size^2 tokens are not
+        spec = str(BENCH_SPECS / "box_n6_unit.json")
+        assert cli.main(["matrix", spec, which, "--format", "dense"]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert f"dense export of {size} points" in lines[0] and "--force" in lines[0]
+
+    def test_dense_export_forced(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "GUARDRAIL", 63)
+        assert cli.main(["matrix", UNIT2_SPEC, "--format", "dense"]) == 2
+        assert "pass --force" in capsys.readouterr().err
+        assert cli.main(["matrix", UNIT2_SPEC, "--format", "dense", "--force"]) == 0
+        assert "# rows=8" in capsys.readouterr().out
+
+
+class TestSizesCounts:
+    def test_all_ones_n7(self, tmp_path, capsys):
+        # |G| and the mixed counts are popcounts: no point of the closure is decoded
+        path = write_spec(tmp_path, "ones7.json", {"kind": "zonotope", "bounds": [[1] * 7] * 8})
+        tracemalloc.start()
+        try:
+            code = cli.main(["sizes", path])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "|G|=1062882 predicted=1062882" in out
+        assert "mixed points per polynomial: " + " ".join(f"i={k}:5040" for k in range(8)) in out
+        assert peak < 100 * 2**20

@@ -375,3 +375,48 @@ class TestBitsetSplit:
         size = len(greedy_closure_multi(sys_))
         assert size == predicted_size_multihomo(sys_) == 25194
 
+
+def mixed_counts(sys_, ref, type_function):
+    """Per polynomial, the reference closure's points of mixed cells."""
+    counts = [0] * (sys_.n + 1)
+    for b, rc in ref.items():
+        counts[rc.poly] += is_mixed(type_vector_of(type_function(b, sys_), sys_.n))
+    return counts
+
+
+class TestMaskedRounds:
+    """The masks classify rows and mixed seeds alike at every key split."""
+
+    @pytest.mark.parametrize("dense", [1, 4, greedy._DENSE_BITS])
+    @settings(max_examples=25, deadline=None)
+    @given(sys_=box_systems(ordered=False))
+    def test_boxes(self, dense, sys_):
+        ref = box_reference(sys_)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(greedy, "_DENSE_BITS", dense)
+            cl = greedy_closure(sys_)
+        assert list(cl.items()) == list(ref.items())
+        assert cl.mixed_by_poly == mixed_counts(sys_, ref, type_function_of)
+
+    @pytest.mark.parametrize("dense", [1, 4, greedy._DENSE_BITS])
+    @settings(max_examples=25, deadline=None)
+    @given(sys_=multi_systems())
+    def test_multihomogeneous(self, dense, sys_):
+        ref = multi_reference(sys_)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(greedy, "_DENSE_BITS", dense)
+            cl = greedy_closure_multi(sys_)
+        assert list(cl.items()) == list(ref.items())
+        assert cl.mixed_by_poly == mixed_counts(sys_, ref, type_function_multi)
+
+    def test_lookups_test_one_bit(self):
+        sys_ = MultiHomoSystem((2,), ((2,), (2,), (1,)))
+        cl = greedy_closure_multi(sys_)
+        missing = set(lattice_points_multi(sys_)) - set(cl)
+        assert len(cl) == 9 and missing == {(0, 0)}
+        assert (0, 0) not in cl and (0, 1) in cl
+        # outside the window: a negative exponent, a wrong length, a far point
+        for b in [(0, -1), (0,), (9, 9)]:
+            assert b not in cl
+            with pytest.raises(KeyError):
+                cl[b]
